@@ -195,6 +195,15 @@ def _check_level(level) -> int:
     return level
 
 
+def check_alcove(sizes, level) -> int:
+    """The level, checked positive and at least every box size (highest weight)."""
+    level = _check_level(level)
+    for w in sizes:
+        if w > level:
+            raise ValueError(f"highest weight {w} lies outside the level alcove 0..{level}")
+    return level
+
+
 def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:
     """Whether ``m`` fits the level budget of every operation of ``tree``.
 
@@ -235,10 +244,7 @@ def count_truncated(boxes, mu, level: int, tree: BracketTree | None = None) -> i
     from .diagrams import BoxConfig, enumerate_cm
 
     boxes = BoxConfig.coerce(boxes)
-    level = _check_level(level)
-    for w in boxes.sizes:
-        if w > level:
-            raise ValueError(f"highest weight {w} lies outside the level alcove 0..{level}")
+    level = check_alcove(boxes.sizes, level)
     if tree is None:
         tree = BracketTree.left_comb(boxes.count)
     return sum(1 for m in enumerate_cm(boxes, mu) if satisfies_truncation(m, level, tree))

@@ -3,13 +3,15 @@
 Subcommands: ``fuse``, ``tensor``, ``matches``, ``components``, ``verify``,
 ``render``.  Exit codes are a stable contract: 0 success, 1 domain or
 verification failure, 2 usage error.  All listings are emitted in canonical
-order, so output is byte-identical across runs and thread settings.
+order, so output is byte-identical across runs.  A reader that closes stdout
+early (``| head``) ends the listing quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bracketing, diagrams, geometry, ring, verify
@@ -57,7 +59,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _check_mu(mu: int | None) -> None:
+    if mu is not None and mu < 0:
+        raise ValueError(f"--mu must be nonnegative, got {mu}")
+
+
 def cmd_fuse(args) -> int:
+    _check_mu(args.mu)
     tree = _tree_for(args.bracketing, len(args.weights))
     element = ring.fuse_many(args.weights, args.level, tree)
     if args.mu is not None:
@@ -69,6 +77,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_tensor(args) -> int:
+    _check_mu(args.mu)
     element = ring.RingElement.unit()
     for w in args.weights:
         element = ring.ring_mul(element, ring.RingElement.simple(w))
@@ -83,7 +92,10 @@ def cmd_tensor(args) -> int:
 def cmd_matches(args) -> int:
     if args.bracketing is not None and args.level is None:
         raise UsageError("--bracketing requires --level")
+    _check_mu(args.mu)
     boxes = diagrams.BoxConfig(tuple(args.boxes))
+    if args.level is not None:
+        bracketing.check_alcove(boxes.sizes, args.level)
     found = diagrams.enumerate_lcm(boxes)
     if args.mu is not None:
         found = [m for m in found if m.mu == args.mu]
@@ -247,7 +259,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout; silence the flush at interpreter exit too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

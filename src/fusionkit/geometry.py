@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .bracketing import BracketTree, _check_level, satisfies_truncation
+from .bracketing import BracketTree, _check_level, check_alcove, satisfies_truncation
 from .diagrams import (
     BoxConfig,
     LowerMatch,
@@ -128,10 +128,7 @@ def component_census(boxes, level: int | None = None, tree: BracketTree | None =
     boxes = BoxConfig.coerce(boxes)
     matches = enumerate_lcm(boxes)
     if level is not None:
-        level = _check_level(level)
-        for w in boxes.sizes:
-            if w > level:
-                raise ValueError(f"highest weight {w} lies outside the level alcove 0..{level}")
+        level = check_alcove(boxes.sizes, level)
         if tree is None:
             tree = BracketTree.left_comb(boxes.count)
         matches = [m for m in matches if satisfies_truncation(m, level, tree)]

@@ -1,51 +1,62 @@
-"""Kernel backend selection.
+"""Search kernel for crossingless-match enumeration.
 
-The compiled extension is preferred when it imported cleanly; the pure-Python
-twin is the fallback.  ``FUSIONKIT_BACKEND=python`` forces the fallback and
-``FUSIONKIT_BACKEND=compiled`` insists on the extension (import error if it
-is not built).  Results are cached: enumeration is pure and canonical.
+The search walks the vertex line left to right keeping a stack of open arcs.
+Three moves are possible at each vertex: leave it unmatched (only when no arc
+is open, since an unmatched vertex may not sit inside an arc), close the
+innermost open arc (only onto a different box), or open a new arc.  Every
+complete walk with an empty stack is a valid lower crossingless match.
+Results are cached: enumeration is pure and canonical.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
-from . import _match_kernel_py
-
-MAX_VERTICES = _match_kernel_py.MAX_VERTICES
-
-_requested = os.environ.get("FUSIONKIT_BACKEND", "").strip().lower()
-
-_compiled = None
-if _requested not in ("py", "python", "pure"):
-    try:
-        from . import _match_kernel as _compiled
-    except ImportError:
-        _compiled = None
-
-if _requested in ("c", "cy", "cython", "compiled") and _compiled is None:
-    raise ImportError(
-        f"FUSIONKIT_BACKEND={_requested!r} requested but the compiled kernel is not built"
-    )
-
-if _compiled is not None:
-    BACKEND = "compiled"
-    _enumerate = _compiled.enumerate_arc_sets
-else:
-    BACKEND = "python"
-    _enumerate = _match_kernel_py.enumerate_arc_sets
-
-
-def backends() -> dict:
-    """Name -> raw (uncached) kernel function, for every importable backend."""
-    table = {"python": _match_kernel_py.enumerate_arc_sets}
-    if _compiled is not None:
-        table["compiled"] = _compiled.enumerate_arc_sets
-    return table
+MAX_VERTICES = 64
 
 
 @lru_cache(maxsize=None)
 def enumerate_arc_sets(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Cached canonical enumeration of arc sets for a tuple of box sizes."""
-    return tuple(_enumerate(sizes))
+    """All valid arc sets on the vertex line of ``sizes``, canonically ordered.
+
+    Arcs are pairs ``(p, q)`` of 1-based vertex positions with ``p < q``.  The
+    result is sorted lexicographically on the arc tuples, empty set first.
+    """
+    sizes = [int(s) for s in sizes]
+    if any(s < 0 for s in sizes):
+        raise ValueError(f"box sizes must be nonnegative, got {sizes}")
+    w = sum(sizes)
+    if w > MAX_VERTICES:
+        raise ValueError(f"enumeration supports at most {MAX_VERTICES} vertices, got {w}")
+
+    box_of = [0] * (w + 1)
+    v = 1
+    for b, s in enumerate(sizes, start=1):
+        for _ in range(s):
+            box_of[v] = b
+            v += 1
+
+    out: list[tuple[tuple[int, int], ...]] = []
+    stack: list[int] = []
+    arcs: list[tuple[int, int]] = []
+
+    def search(pos: int) -> None:
+        if pos > w:
+            if not stack:
+                out.append(tuple(sorted(arcs)))
+            return
+        if len(stack) > w - pos + 1:
+            return
+        if not stack:
+            search(pos + 1)
+        if stack and box_of[stack[-1]] != box_of[pos]:
+            arcs.append((stack.pop(), pos))
+            search(pos + 1)
+            stack.append(arcs.pop()[0])
+        stack.append(pos)
+        search(pos + 1)
+        stack.pop()
+
+    search(1)
+    out.sort()
+    return tuple(out)

@@ -3,16 +3,13 @@
 Every property is an exhaustive exact check over a bounded sweep; bounds come
 from the CLI flags.  A property returns its case count and the first few
 counterexamples verbatim, so a failing sweep points straight at the offending
-configuration.  Independent properties may run on a small thread pool
-(capped by FUSIONKIT_THREADS); results are reported in a fixed order either
-way.
+configuration.  Properties run in declaration order on one thread, so the
+report is in a fixed order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import bracketing, diagrams, geometry, module_action, ring
@@ -545,24 +542,6 @@ SUITES: dict[str, tuple] = {
 }
 
 
-def thread_budget() -> int:
-    """Worker count for suite execution; FUSIONKIT_THREADS caps it."""
-    workers = min(os.cpu_count() or 1, 4)
-    env = os.environ.get("FUSIONKIT_THREADS", "").strip()
-    if env:
-        try:
-            workers = min(workers, max(1, int(env)))
-        except ValueError:
-            workers = 1
-    return workers
-
-
-def run_suites(names, bounds: Bounds, threads: int | None = None) -> list[PropertyResult]:
+def run_suites(names, bounds: Bounds) -> list[PropertyResult]:
     """Run the named suites and return their results in declaration order."""
-    tasks = [prop for name in names for prop in SUITES[name]]
-    if threads is None:
-        threads = thread_budget()
-    if threads <= 1 or len(tasks) <= 1:
-        return [task(bounds) for task in tasks]
-    with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        return list(pool.map(lambda task: task(bounds), tasks))
+    return [prop(bounds) for name in names for prop in SUITES[name]]

@@ -3,8 +3,9 @@
 One test per criterion, each printing a PASS/FAIL line (visible with ``-s``
 or on failure).  Two checks (4a, 4b) compare the closed-form stratum counts
 (the classical level-budget terms plus each stratum's feasibility bounds)
-against enumeration across the whole sweep, with no case left out.  The
-companion identity 4c, the actual bijection conclusion, holds everywhere.
+against enumeration, bucketed by ``verify._stratified_counts``, across the
+whole sweep, with no case left out.  The companion identity 4c, the actual
+bijection conclusion, holds everywhere.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from fusionkit.ring import (
     ring_mul,
     weight_multiplicities,
 )
+from fusionkit.verify import _stratified_counts
 
 MAX_RANK = 4
 MAX_WEIGHT = 4
@@ -117,34 +119,15 @@ def test_criterion_03_counts_independent_of_bracketing():
     _report("03", "truncated counts independent of bracketing", failures, cases)
 
 
-def _three_factor_strata(ws, level):
-    """Stratify budget-passing matches of both combs by cross-arc and arc counts."""
-    combs = {"a": BracketTree.left_comb(3), "b": BracketTree.right_comb(3)}
-    by_n = {name: {} for name in combs}
-    by_c = {name: {} for name in combs}
-    for m in enumerate_lcm(ws):
-        cross = sum(
-            1 for p, q in m.arcs if m.boxes.box_of(p) == 1 and m.boxes.box_of(q) == 3
-        )
-        for name, tree in combs.items():
-            if not satisfies_truncation(m, level, tree):
-                continue
-            if cross == 0:
-                by_n[name][len(m.arcs)] = by_n[name].get(len(m.arcs), 0) + 1
-            else:
-                by_c[name][cross] = by_c[name].get(cross, 0) + 1
-    return by_n, by_c
-
-
 def test_criterion_04a_stratified_counts_without_cross_arcs():
     failures, cases = [], 0
     for ws in itertools.product(range(1, MAX_WEIGHT + 1), repeat=3):
         w1, w2, w3 = ws
         for level in range(max(ws), MAX_LEVEL + 1):
-            by_n, _ = _three_factor_strata(ws, level)
+            by_n, _ = _stratified_counts(ws, level)
             for n in range(sum(ws) // 2 + 1):
                 cases += 1
-                got = (by_n["a"].get(n, 0), by_n["b"].get(n, 0))
+                got = (by_n["s1"].get(n, 0), by_n["s2"].get(n, 0))
                 formula = (ra_count(w1, w2, w3, level, n), rb_count(w1, w2, w3, level, n))
                 if got != formula:
                     failures.append(f"ws={ws} l={level} n={n}: enumerated {got} vs {formula}")
@@ -156,10 +139,10 @@ def test_criterion_04b_stratified_counts_with_cross_arcs():
     for ws in itertools.product(range(1, MAX_WEIGHT + 1), repeat=3):
         w1, w2, w3 = ws
         for level in range(max(ws), MAX_LEVEL + 1):
-            _, by_c = _three_factor_strata(ws, level)
+            _, by_c = _stratified_counts(ws, level)
             for c in range(1, min(w1, w3) + 1):
                 cases += 1
-                got = (by_c["a"].get(c, 0), by_c["b"].get(c, 0))
+                got = (by_c["s1"].get(c, 0), by_c["s2"].get(c, 0))
                 formula = (
                     ra_count_c(w1, w2, w3, level, c),
                     rb_count_c(w1, w2, w3, level, c),

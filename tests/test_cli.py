@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import fusionkit
 from fusionkit.cli import main
 from fusionkit.diagrams import LowerMatch, enumerate_lcm
 from fusionkit.geometry import ComponentCensus, component_census
@@ -56,6 +61,13 @@ def test_fuse_alcove_violation_exits_one(capsys):
     assert "alcove" in err
 
 
+def test_fuse_negative_mu_exits_one(capsys):
+    code, out, err = run(capsys, "fuse", "--weights", "1,1", "--level", "2", "--mu", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--mu" in err
+
+
 def test_fuse_rejects_bad_bracketing_as_usage_error(capsys):
     code, _, err = run(
         capsys, "fuse", "--weights", "1,1", "--level", "2", "--bracketing", "((1)2)"
@@ -86,6 +98,13 @@ def test_tensor_output(capsys):
 def test_tensor_has_no_level_flag(capsys):
     code, _, _ = run(capsys, "tensor", "--weights", "1,1", "--level", "2")
     assert code == 2
+
+
+def test_tensor_negative_mu_exits_one(capsys):
+    code, out, err = run(capsys, "tensor", "--weights", "1,1", "--mu", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--mu" in err
 
 
 # ---------------------------------------------------------------------- matches
@@ -123,6 +142,38 @@ def test_matches_bracketing_requires_level(capsys):
     code, _, err = run(capsys, "matches", "--boxes", "1,1,1", "--bracketing", "((12)3)")
     assert code == 2
     assert "--level" in err
+
+
+def test_matches_negative_mu_exits_one(capsys):
+    code, out, err = run(capsys, "matches", "--boxes", "1,1", "--mu", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--mu" in err
+
+
+def test_matches_alcove_violation_exits_one_like_components(capsys):
+    for command in ("matches", "components"):
+        code, out, err = run(capsys, command, "--boxes", "5,1", "--level", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: highest weight 5 lies outside the level alcove 0..2\n"
+
+
+def test_matches_closed_stdout_exits_quietly():
+    # 172 kB of output overfills the pipe, so the write after the close must fail.
+    src = str(Path(fusionkit.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    with subprocess.Popen(
+        [sys.executable, "-m", "fusionkit.cli", "matches", "--boxes", "4,4,4,4,4", "--oriented"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"4,4,4,4,4| downs=0 weight=20\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
 
 
 # ------------------------------------------------------------------- components

@@ -21,34 +21,16 @@ from fusionkit.diagrams import (
     validate,
 )
 from fusionkit.ring import RingElement, dim_hom_tensor, ring_mul, weight_multiplicities
+from fusionkit.verify import _all_partial_matchings
 
 # ----------------------------------------------------------- brute-force oracle
-
-
-def all_partial_matchings(n: int) -> set[tuple[tuple[int, int], ...]]:
-    """Every partial matching of {1..n}, matching the smallest free vertex first."""
-    if n == 0:
-        return {()}
-    out: set[tuple[tuple[int, int], ...]] = set()
-
-    def extend(free: tuple[int, ...], chosen: tuple[tuple[int, int], ...]) -> None:
-        if not free:
-            out.add(tuple(sorted(chosen)))
-            return
-        first, rest = free[0], free[1:]
-        extend(rest, chosen)
-        for pick in range(len(rest)):
-            extend(rest[:pick] + rest[pick + 1 :], chosen + ((first, rest[pick]),))
-
-    extend(tuple(range(1, n + 1)), ())
-    return out
 
 
 def brute_force_lcm(sizes: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
     boxes = BoxConfig(sizes)
     return sorted(
         arcs
-        for arcs in all_partial_matchings(boxes.total)
+        for arcs in set(_all_partial_matchings(boxes.total))
         if validate(LowerMatch(boxes, arcs))
     )
 

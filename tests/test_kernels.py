@@ -1,51 +1,52 @@
-"""Backend agreement and kernel-level contracts."""
+"""Kernel-level contracts, checked against a brute-force oracle."""
 
 from __future__ import annotations
 
 import itertools
-import os
-import subprocess
-import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusionkit import kernels
-
-
-def test_backend_is_reported():
-    assert kernels.BACKEND in ("python", "compiled")
-    assert "python" in kernels.backends()
+from fusionkit import diagrams, kernels, verify
 
 
-def test_backends_agree_exhaustively():
-    table = kernels.backends()
-    if len(table) < 2:
-        pytest.skip("compiled kernel not built; nothing to compare")
-    python_fn = table["python"]
-    compiled_fn = table["compiled"]
+def brute_force_arc_sets(sizes) -> list[tuple[tuple[int, int], ...]]:
+    """Every partial matching of the vertex line that is a valid lower match, sorted."""
+    boxes = diagrams.BoxConfig(tuple(sizes))
+    return sorted(
+        arcs
+        for arcs in set(verify._all_partial_matchings(boxes.total))
+        if diagrams.validate(diagrams.LowerMatch(boxes, arcs))
+    )
+
+
+def test_kernel_equals_brute_force_exhaustively():
     for r in range(1, 4):
         for sizes in itertools.product(range(0, 4), repeat=r):
-            assert python_fn(sizes) == compiled_fn(sizes), sizes
-    for sizes in [(1, 1, 4), (2, 2, 2, 2), (4, 4, 4), (3, 1, 3, 1)]:
-        assert python_fn(sizes) == compiled_fn(sizes), sizes
+            assert list(kernels.enumerate_arc_sets(sizes)) == brute_force_arc_sets(sizes), sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(lambda s: sum(s) <= 9))
+def test_kernel_equals_brute_force_on_random_tuples(sizes):
+    assert list(kernels.enumerate_arc_sets(tuple(sizes))) == brute_force_arc_sets(sizes)
 
 
 def test_kernel_output_is_canonical():
-    for fn in kernels.backends().values():
-        out = fn((2, 1, 2))
-        assert out == sorted(out)
-        assert out[0] == ()
-        assert len(set(out)) == len(out)
+    out = kernels.enumerate_arc_sets((2, 1, 2))
+    assert list(out) == sorted(out)
+    assert out[0] == ()
+    assert len(set(out)) == len(out)
 
 
 def test_kernel_edge_cases():
-    for fn in kernels.backends().values():
-        assert fn((0,)) == [()]
-        assert fn((0, 0, 0)) == [()]
-        with pytest.raises(ValueError):
-            fn((-1, 2))
-        with pytest.raises(ValueError):
-            fn((kernels.MAX_VERTICES + 1,))
+    assert kernels.enumerate_arc_sets((0,)) == ((),)
+    assert kernels.enumerate_arc_sets((0, 0, 0)) == ((),)
+    with pytest.raises(ValueError):
+        kernels.enumerate_arc_sets((-1, 2))
+    with pytest.raises(ValueError):
+        kernels.enumerate_arc_sets((kernels.MAX_VERTICES + 1,))
 
 
 def test_cached_wrapper_returns_tuples():
@@ -53,15 +54,3 @@ def test_cached_wrapper_returns_tuples():
     assert isinstance(out, tuple)
     assert out == ((), ((1, 2),))
     assert kernels.enumerate_arc_sets((1, 1)) is out
-
-
-def test_backend_env_override_selects_python():
-    code = "from fusionkit import kernels; print(kernels.BACKEND)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "FUSIONKIT_BACKEND": "python"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "python"
