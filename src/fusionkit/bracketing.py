@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diagrams import LowerMatch, _as_weight, _require_valid
+from .diagrams import BoxConfig, LowerMatch, _as_weight, _require_valid, enumerate_cm
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,6 @@ def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:
 
 def count_truncated(boxes, mu, level: int, tree: BracketTree | None = None) -> int:
     """Number of matches with ``mu`` unmatched vertices passing the budget."""
-    from .diagrams import BoxConfig, enumerate_cm
-
     boxes = BoxConfig.coerce(boxes)
     level = check_alcove(boxes.sizes, level)
     if tree is None:

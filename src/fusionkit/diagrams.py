@@ -210,7 +210,12 @@ def enumerate_lcm(boxes) -> list[LowerMatch]:
 def enumerate_cm(boxes, mu) -> list[LowerMatch]:
     """The matches with exactly ``mu`` unmatched vertices, in canonical order."""
     mu = _as_weight(mu)
-    return [m for m in enumerate_lcm(boxes) if m.mu == mu]
+    boxes = BoxConfig.coerce(boxes)
+    return [
+        LowerMatch(boxes, arcs)
+        for arcs in kernels.enumerate_arc_sets(boxes.sizes)
+        if 2 * len(arcs) == boxes.total - mu
+    ]
 
 
 def orientations(m: LowerMatch) -> list[OrientedLowerMatch]:

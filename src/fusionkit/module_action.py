@@ -7,17 +7,17 @@ highest-weight normalization
 
     H a_k = (mu - 2k) a_k,   F a_k = a_{k+1},   E a_k = k(mu - k + 1) a_{k-1},
 
-so E, F, H are block-diagonal integer matrices and (b, downs=0) is the
-highest-weight vector of its block.
+so E, F, H are block-diagonal integer matrices with at most one nonzero
+entry per column, stored as sparse ``(row, col, value)`` triples, and
+(b, downs=0) is the highest-weight vector of its block.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bracketing import BracketTree, _check_level, satisfies_truncation
+from .bracketing import BracketTree, check_alcove, satisfies_truncation
 from .diagrams import (
     BoxConfig,
     OrientedLowerMatch,
@@ -53,10 +53,7 @@ class ModuleBasis:
 
 def build_basis(boxes, level, tree: BracketTree | None = None) -> ModuleBasis:
     boxes = BoxConfig.coerce(boxes)
-    level = _check_level(level)
-    for w in boxes.sizes:
-        if w > level:
-            raise ValueError(f"highest weight {w} lies outside the level alcove 0..{level}")
+    level = check_alcove(boxes.sizes, level)
     if tree is None:
         tree = BracketTree.left_comb(boxes.count)
     elements: list[OrientedLowerMatch] = []
@@ -66,72 +63,72 @@ def build_basis(boxes, level, tree: BracketTree | None = None) -> ModuleBasis:
     return ModuleBasis(boxes=boxes, level=level, tree=tree, elements=tuple(elements))
 
 
-@dataclass(eq=False)
-class ActionMatrices:
-    """Integer matrices of E, F, H on a module basis (columns act on kets)."""
+Triple = tuple[int, int, int]
 
-    e: np.ndarray
-    f: np.ndarray
-    h: np.ndarray
+
+@dataclass(frozen=True)
+class ActionMatrices:
+    """Integer matrices of E, F, H on a module basis (columns act on kets).
+
+    Each matrix is the tuple of its nonzero ``(row, col, value)`` triples in
+    row-major order, the form its JSON carries.
+    """
+
+    e: tuple[Triple, ...]
+    f: tuple[Triple, ...]
+    h: tuple[Triple, ...]
     labels: tuple[tuple[str, int], ...]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ActionMatrices):
-            return NotImplemented
-        return (
-            self.labels == other.labels
-            and np.array_equal(self.e, other.e)
-            and np.array_equal(self.f, other.f)
-            and np.array_equal(self.h, other.h)
-        )
+    @property
+    def size(self) -> int:
+        return len(self.labels)
 
     def to_json_dict(self) -> dict:
-        def triples(mat: np.ndarray) -> list[list[int]]:
-            rows, cols = np.nonzero(mat)
-            return [[int(r), int(c), int(mat[r, c])] for r, c in zip(rows, cols)]
-
         return {
-            "size": int(self.e.shape[0]),
+            "size": self.size,
             "basis": [[key, downs] for key, downs in self.labels],
-            "e": triples(self.e),
-            "f": triples(self.f),
-            "h": triples(self.h),
+            "e": [list(t) for t in self.e],
+            "f": [list(t) for t in self.f],
+            "h": [list(t) for t in self.h],
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ActionMatrices":
+        labels = tuple((key, downs) for key, downs in obj["basis"])
         n = obj["size"]
+        if n != len(labels):
+            raise ValueError(f"size {n} does not match the {len(labels)} basis labels")
 
-        def dense(triples) -> np.ndarray:
-            mat = np.zeros((n, n), dtype=np.int64)
-            for r, c, v in triples:
-                mat[r, c] = v
-            return mat
+        def triples(name: str) -> tuple[Triple, ...]:
+            entries: dict[tuple[int, int], int] = {}
+            for triple in obj[name]:
+                r, c, v = (operator.index(x) for x in triple)
+                if not (0 <= r < n and 0 <= c < n):
+                    raise ValueError(f"{name} entry ({r}, {c}) lies outside 0..{n - 1}")
+                if (r, c) in entries:
+                    raise ValueError(f"{name} entry ({r}, {c}) is repeated")
+                entries[r, c] = v
+            return tuple((r, c, v) for (r, c), v in sorted(entries.items()) if v)
 
-        return cls(
-            e=dense(obj["e"]),
-            f=dense(obj["f"]),
-            h=dense(obj["h"]),
-            labels=tuple((key, downs) for key, downs in obj["basis"]),
-        )
+        return cls(e=triples("e"), f=triples("f"), h=triples("h"), labels=labels)
 
 
 def action_matrices(basis: ModuleBasis) -> ActionMatrices:
-    n = basis.dim
-    e = np.zeros((n, n), dtype=np.int64)
-    f = np.zeros((n, n), dtype=np.int64)
-    h = np.zeros((n, n), dtype=np.int64)
+    e: list[Triple] = []
+    f: list[Triple] = []
+    h: list[Triple] = []
     for start, stop in basis.blocks():
-        mu = basis.elements[start].base.mu
+        mu = stop - start - 1
         for k in range(mu + 1):
             idx = start + k
-            h[idx, idx] = mu - 2 * k
-            if k < mu:
-                f[idx + 1, idx] = 1
             if k > 0:
-                e[idx - 1, idx] = k * (mu - k + 1)
+                e.append((idx - 1, idx, k * (mu - k + 1)))
+            if k < mu:
+                f.append((idx + 1, idx, 1))
+            if mu != 2 * k:
+                h.append((idx, idx, mu - 2 * k))
     labels = tuple((canonical_key(o.base), o.downs) for o in basis.elements)
-    return ActionMatrices(e=e, f=f, h=h, labels=labels)
+    return ActionMatrices(e=tuple(e), f=tuple(f), h=tuple(h), labels=labels)
 
 
 def isotypic_census(basis: ModuleBasis) -> dict[int, int]:
@@ -143,11 +140,31 @@ def isotypic_census(basis: ModuleBasis) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def _entries(triples, scale: int = 1) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
+    for r, c, v in triples:
+        out[r, c] = out.get((r, c), 0) + scale * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _commutator(a, b) -> dict[tuple[int, int], int]:
+    """Nonzero entries of AB - BA, from sparse row-by-column products."""
+    out: dict[tuple[int, int], int] = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        y_rows: dict[int, list[tuple[int, int]]] = {}
+        for r, c, v in y:
+            y_rows.setdefault(r, []).append((c, v))
+        for r, k, v in x:
+            for c, w in y_rows.get(k, ()):
+                out[r, c] = out.get((r, c), 0) + sign * v * w
+    return {key: v for key, v in out.items() if v}
+
+
 def verify_sl2(matrices: ActionMatrices) -> bool:
     """Exact check of [E,F] = H, [H,E] = 2E, [H,F] = -2F."""
     e, f, h = matrices.e, matrices.f, matrices.h
     return (
-        np.array_equal(e @ f - f @ e, h)
-        and np.array_equal(h @ e - e @ h, 2 * e)
-        and np.array_equal(h @ f - f @ h, -2 * f)
+        _commutator(e, f) == _entries(h)
+        and _commutator(h, e) == _entries(e, 2)
+        and _commutator(h, f) == _entries(f, -2)
     )

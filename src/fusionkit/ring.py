@@ -4,18 +4,17 @@ Elements are integer combinations of classes of the simple modules V_k
 (highest weight k, dimension k+1), stored sparsely by weight.  The plain
 product decomposes V_i (x) V_j = V_|i-j| + V_|i-j|+2 + ... + V_i+j; at level
 ``l`` the fusion product cuts the same string off at min(i+j, 2l-i-j), and the
-level quotient divides out the ideal generated by [V_{l+1}].  Everything is
-exact: integer coefficients throughout, rational pivots only inside the
-quotient reduction, which always lands back in integers.
+level quotient divides out the ideal generated by [V_{l+1}], reducing each
+class to the alcove 0..l by a signed affine-Weyl reflection.  Everything is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .bracketing import BracketTree, _check_level
+from .bracketing import BracketTree, _check_level, check_alcove
 from .diagrams import _as_weight
 
 
@@ -131,18 +130,11 @@ def tensor_cg(i, j) -> RingElement:
     return RingElement({k: 1 for k in range(abs(i - j), i + j + 1, 2)})
 
 
-def _check_alcove(w: int, level: int) -> None:
-    if w > level:
-        raise ValueError(f"highest weight {w} lies outside the level alcove 0..{level}")
-
-
 def fuse_pair(i, j, level) -> RingElement:
     """Level fusion of two simples: the weight string cut at min(i+j, 2l-i-j)."""
     i = _as_weight(i)
     j = _as_weight(j)
-    level = _check_level(level)
-    _check_alcove(i, level)
-    _check_alcove(j, level)
+    level = check_alcove((i, j), level)
     top = min(i + j, 2 * level - i - j)
     return RingElement({k: 1 for k in range(abs(i - j), top + 1, 2)})
 
@@ -176,9 +168,7 @@ def fuse_many(ws, level, tree: BracketTree | None = None) -> RingElement:
     verified properties rather than an assumption of the implementation.
     """
     ws = [_as_weight(w) for w in ws]
-    level = _check_level(level)
-    for w in ws:
-        _check_alcove(w, level)
+    level = check_alcove(ws, level)
     if not ws:
         return RingElement.unit()
     if tree is None:
@@ -200,48 +190,22 @@ def fuse_many(ws, level, tree: BracketTree | None = None) -> RingElement:
 def quotient_reduce(x: RingElement, level) -> RingElement:
     """Reduce to the canonical representative supported on weights 0..l.
 
-    Works in the span of [V_0]..[V_M] (M the top weight of ``x``), row-reduces
-    the ideal slice spanned by [V_{l+1}]·[V_j] for j = 0..M-l-1 with the
-    highest weight of each row as the pivot, and eliminates every coordinate
-    of ``x`` above l.  The pivots land exactly on weights l+1..M, so the
-    representative is unique and the arithmetic, though rational inside the
-    elimination, returns integers.
+    Kac-Walton reflection: with n = (k + 1) mod (2l + 4), a term c·[V_k] is
+    zero on a wall (n = 0 or n = l + 2), equals c·[V_{n-1}] for n in 1..l+1,
+    and reflects to -c·[V_{2l+3-n}] above.  Each term differs from its image
+    by an element of the ideal generated by [V_{l+1}], which meets the span
+    of [V_0]..[V_l] only in zero, so the representative is unique.
     """
     level = _check_level(level)
-    top = x.max_weight()
-    if top is None or top <= level:
-        return x
-
-    width = top + 1
-    gens = [ring_mul(RingElement.simple(level + 1), RingElement.simple(j)) for j in range(top - level)]
-    rows = [[Fraction(g.coeff(k)) for k in range(width)] for g in gens]
-
-    # Row reduce, pivoting each row on its highest-weight nonzero column.
-    pivots: dict[int, list[Fraction]] = {}
-    for row in rows:
-        for col in range(width - 1, -1, -1):
-            if row[col] == 0:
-                continue
-            if col in pivots:
-                factor = row[col]
-                row[:] = [a - factor * b for a, b in zip(row, pivots[col])]
-            else:
-                inv = Fraction(1) / row[col]
-                pivots[col] = [a * inv for a in row]
-                break
-
-    vec = [Fraction(x.coeff(k)) for k in range(width)]
-    for col in sorted(pivots, reverse=True):
-        if vec[col] != 0:
-            factor = vec[col]
-            vec = [a - factor * b for a, b in zip(vec, pivots[col])]
-
     out: dict[int, int] = {}
-    for k, a in enumerate(vec):
-        if a != 0:
-            if a.denominator != 1 or k > level:
-                raise AssertionError("quotient reduction left a non-integral or high term")
-            out[k] = int(a)
+    for k, c in x._coeffs.items():
+        n = (k + 1) % (2 * level + 4)
+        if n == 0 or n == level + 2:
+            continue
+        if n <= level + 1:
+            out[n - 1] = out.get(n - 1, 0) + c
+        else:
+            out[2 * level + 3 - n] = out.get(2 * level + 3 - n, 0) - c
     return RingElement(out)
 
 

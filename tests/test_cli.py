@@ -159,21 +159,36 @@ def test_matches_alcove_violation_exits_one_like_components(capsys):
         assert err == "error: highest weight 5 lies outside the level alcove 0..2\n"
 
 
-def test_matches_closed_stdout_exits_quietly():
-    # 172 kB of output overfills the pipe, so the write after the close must fail.
+def _env_importing_this_fusionkit() -> dict[str, str]:
     src = str(Path(fusionkit.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def test_matches_closed_stdout_exits_quietly():
+    # 172 kB of output overfills the pipe, so the write after the close must fail.
     with subprocess.Popen(
         [sys.executable, "-m", "fusionkit.cli", "matches", "--boxes", "4,4,4,4,4", "--oriented"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_env_importing_this_fusionkit(),
     ) as proc:
         assert proc.stdout.readline() == b"4,4,4,4,4| downs=0 weight=20\n"
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
         assert proc.stderr.read() == b""
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, fusionkit, fusionkit.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=_env_importing_this_fusionkit(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
 
 
 # ------------------------------------------------------------------- components
@@ -275,10 +290,9 @@ def test_verify_fault_injection_surfaces_counterexample(capsys, monkeypatch):
     assert "counterexample: v=1 w=2" in out
 
 
-def test_verify_output_deterministic_across_thread_settings(capsys, monkeypatch):
+def test_verify_output_is_byte_identical_across_runs(capsys):
     outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("FUSIONKIT_THREADS", threads)
+    for _ in range(2):
         code, out, _ = run(
             capsys, "verify", "--suite", "module",
             "--max-rank", "2", "--max-weight", "2", "--max-level", "3",
@@ -355,10 +369,9 @@ def test_render_index_without_boxes_is_usage_error(capsys):
 # ------------------------------------------------------------------ determinism
 
 
-def test_listings_are_byte_identical_across_runs(capsys, monkeypatch):
+def test_listings_are_byte_identical_across_runs(capsys):
     outputs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("FUSIONKIT_THREADS", threads)
+    for _ in range(2):
         _, out, _ = run(capsys, "matches", "--boxes", "2,1,2", "--format", "json")
         outputs.append(out)
     assert outputs[0] == outputs[1]

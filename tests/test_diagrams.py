@@ -95,6 +95,14 @@ def test_enumerate_cm_examples():
     assert [m.arcs for m in enumerate_cm((2, 2), 0)] == [((1, 4), (2, 3))]
 
 
+def test_enumerate_cm_is_the_mu_slice_of_enumerate_lcm():
+    for r in range(1, 5):
+        for ws in itertools.product(range(0, 4), repeat=r):
+            full = enumerate_lcm(ws)
+            for mu in range(sum(ws) + 2):
+                assert enumerate_cm(ws, mu) == [m for m in full if m.mu == mu], (ws, mu)
+
+
 def test_enumeration_matches_brute_force():
     configs = [
         (1,),

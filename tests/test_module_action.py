@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,6 +17,30 @@ from fusionkit.module_action import (
     verify_sl2,
 )
 from fusionkit.ring import fuse_many, weight_multiplicities
+from fusionkit.verify import Bounds, _module_sweep
+
+
+def dense(triples, size: int) -> np.ndarray:
+    mat = np.zeros((size, size), dtype=np.int64)
+    for r, c, v in triples:
+        mat[r, c] += v
+    return mat
+
+
+def dense_sl2(mats: ActionMatrices) -> bool:
+    """The commutation relations, checked on dense numpy matrices."""
+    e, f, h = (dense(t, mats.size) for t in (mats.e, mats.f, mats.h))
+    return (
+        np.array_equal(e @ f - f @ e, h)
+        and np.array_equal(h @ e - e @ h, 2 * e)
+        and np.array_equal(h @ f - f @ h, -2 * f)
+    )
+
+
+@pytest.fixture(scope="module")
+def default_sweep():
+    """Every (ws, level, basis) of the ``verify`` module suite at default bounds."""
+    return list(_module_sweep(Bounds()))
 
 
 def test_build_basis_examples():
@@ -40,16 +65,17 @@ def test_basis_order_groups_matches_with_ascending_downs():
 def test_action_matrix_entries_on_a_weight_two_block():
     basis = build_basis((1, 1), 2)
     mats = action_matrices(basis)
+    e, f, h = (dense(t, mats.size) for t in (mats.e, mats.f, mats.h))
     # block of the arcless match: a0, a1, a2 with H = diag(2, 0, -2)
-    assert np.array_equal(np.diag(mats.h)[:3], [2, 0, -2])
-    assert mats.f[1, 0] == 1 and mats.f[2, 1] == 1
-    assert mats.e[0, 1] == 2 and mats.e[1, 2] == 2
+    assert np.array_equal(np.diag(h)[:3], [2, 0, -2])
+    assert f[1, 0] == 1 and f[2, 1] == 1
+    assert e[0, 1] == 2 and e[1, 2] == 2
     # E a1 = 2 a0
     vec = np.zeros(4, dtype=np.int64)
     vec[1] = 1
-    assert np.array_equal(mats.e @ vec, np.array([2, 0, 0, 0]))
+    assert np.array_equal(e @ vec, np.array([2, 0, 0, 0]))
     # the single-arc block is the trivial module
-    assert mats.e[3, 3] == mats.f[3, 3] == mats.h[3, 3] == 0
+    assert e[3, 3] == f[3, 3] == h[3, 3] == 0
 
 
 def test_matrices_are_block_diagonal():
@@ -59,17 +85,18 @@ def test_matrices_are_block_diagonal():
     mask = np.zeros((basis.dim, basis.dim), dtype=bool)
     for start, stop in blocks:
         mask[start:stop, start:stop] = True
-    for mat in (mats.e, mats.f, mats.h):
-        assert not np.any(mat[~mask])
+    for triples in (mats.e, mats.f, mats.h):
+        assert not np.any(dense(triples, mats.size)[~mask])
 
 
 def test_highest_weight_vectors_have_block_weight():
     basis = build_basis((2, 2), 3)
     mats = action_matrices(basis)
+    h = dense(mats.h, mats.size)
     for start, _ in basis.blocks():
-        assert mats.h[start, start] == basis.elements[start].base.mu
+        assert h[start, start] == basis.elements[start].base.mu
     for start, stop in basis.blocks():
-        assert int(np.trace(mats.h[start:stop, start:stop])) == 0
+        assert int(np.trace(h[start:stop, start:stop])) == 0
 
 
 def test_verify_sl2_accepts_built_matrices():
@@ -79,8 +106,38 @@ def test_verify_sl2_accepts_built_matrices():
 
 def test_verify_sl2_detects_corruption():
     mats = action_matrices(build_basis((1, 1), 2))
-    mats.e[0, 1] += 1
-    assert verify_sl2(mats) is False
+    e = tuple((r, c, v + 1) if (r, c) == (0, 1) else (r, c, v) for r, c, v in mats.e)
+    assert verify_sl2(dataclasses.replace(mats, e=e)) is False
+
+
+def test_verify_sl2_equals_dense_check_on_default_sweep(default_sweep):
+    for ws, level, basis in default_sweep:
+        mats = action_matrices(basis)
+        assert verify_sl2(mats) is dense_sl2(mats) is True, (ws, level)
+
+
+def test_verify_sl2_rejects_every_one_entry_perturbation():
+    mats = action_matrices(build_basis((2, 1), 3))
+    n = mats.size
+    for name in ("e", "f", "h"):
+        entries = {(r, c): v for r, c, v in getattr(mats, name)}
+        for r, c, delta in itertools.product(range(n), range(n), (1, -1)):
+            changed = dict(entries)
+            changed[r, c] = changed.get((r, c), 0) + delta
+            triples = tuple((i, j, v) for (i, j), v in sorted(changed.items()) if v)
+            bad = dataclasses.replace(mats, **{name: triples})
+            assert verify_sl2(bad) is dense_sl2(bad) is False, (name, r, c, delta)
+
+
+def test_h_is_diagonal_and_carries_the_weight_census(default_sweep):
+    for ws, level, basis in default_sweep:
+        h = action_matrices(basis).h
+        weights = [o.weight for o in basis.elements]
+        assert all(r == c for r, c, _ in h), (ws, level)
+        assert [(r, v) for r, _, v in h] == [(i, w) for i, w in enumerate(weights) if w], (
+            ws,
+            level,
+        )
 
 
 def test_isotypic_census_examples():
@@ -111,3 +168,36 @@ def test_action_matrices_json_roundtrip():
     assert ActionMatrices.from_json_dict(mats.to_json_dict()) == mats
     triples = mats.to_json_dict()["e"]
     assert triples == sorted(triples)
+
+
+def _json_of_two_block():
+    return action_matrices(build_basis((1, 1), 2)).to_json_dict()
+
+
+def test_action_matrices_json_rejects_index_outside_size():
+    obj = _json_of_two_block()
+    obj["e"].append([-1, 0, 7])
+    with pytest.raises(ValueError, match="outside"):
+        ActionMatrices.from_json_dict(obj)
+
+
+def test_action_matrices_json_rejects_repeated_entry():
+    obj = _json_of_two_block()
+    obj["f"].append(list(obj["f"][0]))
+    with pytest.raises(ValueError, match="repeated"):
+        ActionMatrices.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("size", [2, 9])
+def test_action_matrices_json_rejects_size_other_than_basis_length(size):
+    obj = _json_of_two_block()
+    obj["size"] = size
+    with pytest.raises(ValueError, match="basis labels"):
+        ActionMatrices.from_json_dict(obj)
+
+
+def test_action_matrices_json_sorts_triples_and_drops_zeros():
+    mats = action_matrices(build_basis((1, 1), 2))
+    obj = mats.to_json_dict()
+    obj["e"] = list(reversed(obj["e"])) + [[3, 3, 0]]
+    assert ActionMatrices.from_json_dict(obj) == mats

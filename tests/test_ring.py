@@ -8,12 +8,13 @@ the top weight.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit.bracketing import BracketTree, enumerate_trees, parse_bracketing
+from fusionkit.bracketing import BracketTree, _check_level, enumerate_trees, parse_bracketing
 from fusionkit.ring import (
     RingElement,
     dim_hom_fusion,
@@ -221,6 +222,69 @@ def test_ring_mul_associative_commutative_on_generators():
 
 
 # -------------------------------------------------------------- quotient_reduce
+
+
+def quotient_reduce_by_row_reduction(x: RingElement, level) -> RingElement:
+    """Reduce to the canonical representative supported on weights 0..l.
+
+    Works in the span of [V_0]..[V_M] (M the top weight of ``x``), row-reduces
+    the ideal slice spanned by [V_{l+1}]·[V_j] for j = 0..M-l-1 with the
+    highest weight of each row as the pivot, and eliminates every coordinate
+    of ``x`` above l.  The pivots land exactly on weights l+1..M, so the
+    representative is unique and the arithmetic, though rational inside the
+    elimination, returns integers.
+    """
+    level = _check_level(level)
+    top = x.max_weight()
+    if top is None or top <= level:
+        return x
+
+    width = top + 1
+    gens = [ring_mul(RingElement.simple(level + 1), RingElement.simple(j)) for j in range(top - level)]
+    rows = [[Fraction(g.coeff(k)) for k in range(width)] for g in gens]
+
+    # Row reduce, pivoting each row on its highest-weight nonzero column.
+    pivots: dict[int, list[Fraction]] = {}
+    for row in rows:
+        for col in range(width - 1, -1, -1):
+            if row[col] == 0:
+                continue
+            if col in pivots:
+                factor = row[col]
+                row[:] = [a - factor * b for a, b in zip(row, pivots[col])]
+            else:
+                inv = Fraction(1) / row[col]
+                pivots[col] = [a * inv for a in row]
+                break
+
+    vec = [Fraction(x.coeff(k)) for k in range(width)]
+    for col in sorted(pivots, reverse=True):
+        if vec[col] != 0:
+            factor = vec[col]
+            vec = [a - factor * b for a, b in zip(vec, pivots[col])]
+
+    out: dict[int, int] = {}
+    for k, a in enumerate(vec):
+        if a != 0:
+            if a.denominator != 1 or k > level:
+                raise AssertionError("quotient reduction left a non-integral or high term")
+            out[k] = int(a)
+    return RingElement(out)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 24).flatmap(
+        lambda level: st.tuples(
+            st.just(level),
+            st.dictionaries(st.integers(0, 4 * level + 10), st.integers(-3, 3), max_size=8),
+        )
+    )
+)
+def test_quotient_reduce_equals_row_reduction(case):
+    level, coeffs = case
+    x = RingElement(coeffs)
+    assert quotient_reduce(x, level) == quotient_reduce_by_row_reduction(x, level)
 
 
 def test_quotient_reduce_examples():
