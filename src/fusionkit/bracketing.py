@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diagrams import BoxConfig, LowerMatch, _as_weight, _require_valid, enumerate_cm
+from .diagrams import BoxConfig, LowerMatch, _as_weight, enumerate_cm
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,6 @@ def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:
     tree.
     """
     level = _check_level(level)
-    _require_valid(m)
     if tree.num_leaves != m.boxes.count or tree.lo != 1:
         raise ValueError(
             f"bracketing covers leaves {tree.lo}..{tree.hi} "

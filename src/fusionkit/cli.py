@@ -64,15 +64,19 @@ def _check_mu(mu: int | None) -> None:
         raise ValueError(f"--mu must be nonnegative, got {mu}")
 
 
-def cmd_fuse(args) -> int:
-    _check_mu(args.mu)
-    tree = _tree_for(args.bracketing, len(args.weights))
-    element = ring.fuse_many(args.weights, args.level, tree)
+def _emit_element(args, element) -> None:
+    """Emit ``element``, or with ``--mu`` its multiplicity there, as text or JSON."""
     if args.mu is not None:
         dim = element.coeff(args.mu)
         _emit(args, _dump({"mu": args.mu, "dim": dim}) if args.format == "json" else str(dim))
     else:
         _emit(args, _dump(element.to_json_dict()) if args.format == "json" else element.format_text())
+
+
+def cmd_fuse(args) -> int:
+    _check_mu(args.mu)
+    tree = _tree_for(args.bracketing, len(args.weights))
+    _emit_element(args, ring.fuse_many(args.weights, args.level, tree))
     return 0
 
 
@@ -81,11 +85,7 @@ def cmd_tensor(args) -> int:
     element = ring.RingElement.unit()
     for w in args.weights:
         element = ring.ring_mul(element, ring.RingElement.simple(w))
-    if args.mu is not None:
-        dim = element.coeff(args.mu)
-        _emit(args, _dump({"mu": args.mu, "dim": dim}) if args.format == "json" else str(dim))
-    else:
-        _emit(args, _dump(element.to_json_dict()) if args.format == "json" else element.format_text())
+    _emit_element(args, element)
     return 0
 
 

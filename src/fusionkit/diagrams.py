@@ -8,6 +8,11 @@ upper boundary, which forces the two structural rules enforced here beyond
 planarity: no arc joins a box to itself, and no unmatched vertex sits strictly
 inside an arc (its upward curve would have to cross it).
 
+Validity is an invariant of :class:`LowerMatch`: arcs that enter from outside
+(the constructor, ``dataclasses.replace``, JSON, canonical keys) are checked
+by :func:`validate` once, and the enumerators wrap the kernel's arc sets,
+valid by construction, without checking them again.
+
 The number of unmatched vertices of a match ``m`` is written ``m.mu``; it is
 the highest weight of the irreducible summand the match labels.
 """
@@ -88,9 +93,8 @@ def _normalize_arcs(arcs) -> tuple[tuple[int, int], ...]:
 class LowerMatch:
     """Box sizes plus a set of lower arcs, stored sorted by left endpoint.
 
-    Construction only normalizes; semantic invariants are checked by
-    :func:`validate` so that invalid candidates can be represented and
-    rejected explicitly.
+    Every instance is valid: construction normalizes the arcs and raises
+    ``ValueError`` unless :func:`validate` accepts them.
     """
 
     boxes: BoxConfig
@@ -99,6 +103,16 @@ class LowerMatch:
     def __post_init__(self):
         object.__setattr__(self, "boxes", BoxConfig.coerce(self.boxes))
         object.__setattr__(self, "arcs", _normalize_arcs(self.arcs))
+        if not validate(self.boxes, self.arcs):
+            raise ValueError(f"invalid lower match: boxes={self.boxes.sizes} arcs={self.arcs}")
+
+    @classmethod
+    def _from_kernel(cls, boxes: BoxConfig, arcs: tuple[tuple[int, int], ...]) -> "LowerMatch":
+        """Wrap an arc set of ``kernels.enumerate_arc_sets``, which is sorted and valid."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "boxes", boxes)
+        object.__setattr__(m, "arcs", arcs)
+        return m
 
     @property
     def mu(self) -> int:
@@ -121,7 +135,10 @@ class LowerMatch:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LowerMatch":
-        return cls(BoxConfig(tuple(obj["boxes"])), tuple((p, q) for p, q in obj["arcs"]))
+        m = cls(BoxConfig(tuple(obj["boxes"])), tuple((p, q) for p, q in obj["arcs"]))
+        if obj["mu"] != m.mu:
+            raise ValueError(f"mu {obj['mu']} disagrees with the {m.mu} unmatched vertices")
+        return m
 
 
 @dataclass(frozen=True)
@@ -162,23 +179,32 @@ class OrientedLowerMatch:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "OrientedLowerMatch":
-        return cls(LowerMatch.from_json_dict(obj), obj["downs"])
+        o = cls(LowerMatch.from_json_dict(obj), obj["downs"])
+        if obj["weight"] != o.weight:
+            raise ValueError(f"weight {obj['weight']} disagrees with mu - 2*downs = {o.weight}")
+        return o
 
 
-def validate(m: LowerMatch) -> bool:
-    """True iff all lower-match invariants hold."""
-    w = m.boxes.total
+def validate(boxes, arcs) -> bool:
+    """True iff ``arcs`` is a lower crossingless match on ``boxes``.
+
+    ``arcs`` are pairs ``(p, q)`` with ``p < q``, in any order.  They must use
+    each vertex once, join two different boxes, not cross, and leave no
+    unmatched vertex under an arc.
+    """
+    boxes = BoxConfig.coerce(boxes)
+    arcs = sorted(arcs)
+    w = boxes.total
     seen: set[int] = set()
-    for p, q in m.arcs:
+    for p, q in arcs:
         if not (1 <= p < q <= w):
             return False
         if p in seen or q in seen:
             return False
         seen.add(p)
         seen.add(q)
-        if m.boxes.box_of(p) == m.boxes.box_of(q):
+        if boxes.box_of(p) == boxes.box_of(q):
             return False
-    arcs = m.arcs
     for i, (p, q) in enumerate(arcs):
         for p2, q2 in arcs[i + 1 :]:
             if p < p2 < q < q2:
@@ -192,11 +218,6 @@ def validate(m: LowerMatch) -> bool:
     return True
 
 
-def _require_valid(m: LowerMatch) -> None:
-    if not validate(m):
-        raise ValueError(f"invalid lower match: boxes={m.boxes.sizes} arcs={m.arcs}")
-
-
 def enumerate_lcm(boxes) -> list[LowerMatch]:
     """All lower crossingless matches on ``boxes``, in canonical order.
 
@@ -204,7 +225,9 @@ def enumerate_lcm(boxes) -> list[LowerMatch]:
     arc set first.
     """
     boxes = BoxConfig.coerce(boxes)
-    return [LowerMatch(boxes, arcs) for arcs in kernels.enumerate_arc_sets(boxes.sizes)]
+    return [
+        LowerMatch._from_kernel(boxes, arcs) for arcs in kernels.enumerate_arc_sets(boxes.sizes)
+    ]
 
 
 def enumerate_cm(boxes, mu) -> list[LowerMatch]:
@@ -212,15 +235,14 @@ def enumerate_cm(boxes, mu) -> list[LowerMatch]:
     mu = _as_weight(mu)
     boxes = BoxConfig.coerce(boxes)
     return [
-        LowerMatch(boxes, arcs)
+        LowerMatch._from_kernel(boxes, arcs)
         for arcs in kernels.enumerate_arc_sets(boxes.sizes)
         if 2 * len(arcs) == boxes.total - mu
     ]
 
 
 def orientations(m: LowerMatch) -> list[OrientedLowerMatch]:
-    """All mu+1 orientations of a valid match, by ascending down count."""
-    _require_valid(m)
+    """All mu+1 orientations of a match, by ascending down count."""
     return [OrientedLowerMatch(m, k) for k in range(m.mu + 1)]
 
 
@@ -239,7 +261,6 @@ class ArcCensus:
 
 
 def arc_census(m: LowerMatch) -> ArcCensus:
-    _require_valid(m)
     boxes = m.boxes
     r = boxes.count
     arc_boxes = [(boxes.box_of(p), boxes.box_of(q)) for p, q in m.arcs]
@@ -258,7 +279,6 @@ def arc_census(m: LowerMatch) -> ArcCensus:
 
 def canonical_key(m: LowerMatch) -> str:
     """Injective text key: ``"w1,w2,...|p1-q1,p2-q2,..."``."""
-    _require_valid(m)
     sizes = ",".join(str(s) for s in m.boxes.sizes)
     arcs = ",".join(f"{p}-{q}" for p, q in m.arcs)
     return f"{sizes}|{arcs}"
@@ -268,14 +288,12 @@ def parse_canonical_key(key: str) -> LowerMatch:
     """Inverse of :func:`canonical_key`; raises ValueError on malformed keys."""
     try:
         sizes_part, _, arcs_part = key.partition("|")
-        sizes = tuple(int(s) for s in sizes_part.split(","))
+        boxes = BoxConfig(tuple(int(s) for s in sizes_part.split(",")))
         arcs = []
         if arcs_part:
             for chunk in arcs_part.split(","):
                 p, q = chunk.split("-")
                 arcs.append((int(p), int(q)))
-        m = LowerMatch(BoxConfig(sizes), tuple(arcs))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"malformed match key {key!r}") from exc
-    _require_valid(m)
-    return m
+    return LowerMatch(boxes, tuple(arcs))

@@ -9,7 +9,7 @@ horizontals can never collide.
 
 from __future__ import annotations
 
-from .diagrams import BoxConfig, LowerMatch, _require_valid
+from .diagrams import BoxConfig, LowerMatch
 
 
 def _layout(boxes: BoxConfig):
@@ -41,7 +41,6 @@ def _arc_depths(arcs) -> dict[tuple[int, int], int]:
 
 def ascii_diagram(m: LowerMatch, downs: int | None = None) -> str:
     """Multi-line text picture; ``downs`` marks that many rightmost rays down."""
-    _require_valid(m)
     if downs is not None and not 0 <= downs <= m.mu:
         raise ValueError(f"downs must lie in 0..{m.mu}, got {downs}")
     vcol, spans, width = _layout(m.boxes)
@@ -85,7 +84,6 @@ def ascii_diagram(m: LowerMatch, downs: int | None = None) -> str:
 
 def svg_diagram(m: LowerMatch, downs: int | None = None) -> str:
     """Standalone SVG: boxes as rectangles, arcs as semicircles, oriented rays."""
-    _require_valid(m)
     if downs is not None and not 0 <= downs <= m.mu:
         raise ValueError(f"downs must lie in 0..{m.mu}, got {downs}")
     vcol, spans, width = _layout(m.boxes)

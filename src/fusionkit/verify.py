@@ -207,7 +207,7 @@ def _matches_brute_force_equivalence(bounds: Bounds) -> PropertyResult:
         brute = sorted(
             arcs
             for arcs in set(_all_partial_matchings(boxes.total))
-            if diagrams.validate(diagrams.LowerMatch(boxes, arcs))
+            if diagrams.validate(boxes, arcs)
         )
         fast = [m.arcs for m in diagrams.enumerate_lcm(boxes)]
         res.check(brute == fast, f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}")
@@ -221,7 +221,8 @@ def _matches_no_nested_unmatched(bounds: Bounds) -> PropertyResult:
             nested = any(
                 p < u < q for u in m.unmatched() for p, q in m.arcs
             )
-            res.check(not nested and diagrams.validate(m), f"ws={ws} arcs={m.arcs}")
+            valid = diagrams.validate(m.boxes, m.arcs)
+            res.check(not nested and valid, f"ws={ws} arcs={m.arcs}")
     return res
 
 

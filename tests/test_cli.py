@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -177,6 +178,18 @@ def test_matches_closed_stdout_exits_quietly():
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
         assert proc.stderr.read() == b""
+
+
+def test_matches_refuses_a_listing_that_cannot_finish():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionkit.cli", "matches", "-b", ",".join(["4"] * 16)],
+        capture_output=True,
+        env=_env_importing_this_fusionkit(),
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: enumeration supports at most 1000000 matches")
 
 
 def test_import_does_not_load_numpy():
@@ -375,3 +388,38 @@ def test_listings_are_byte_identical_across_runs(capsys):
         _, out, _ = run(capsys, "matches", "--boxes", "2,1,2", "--format", "json")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# sha256 digests of outputs recorded before `LowerMatch` became valid by
+# construction. Listings, error text and exit codes are a stable contract, so
+# any later change must reproduce them byte for byte.
+PARENT_DIGESTS = [
+    (("matches", "-b", "4,4,4,4", "-f", "json"), 0, "out",
+     "202929c2c409618113c7c79a6139d57382502d2622c45e18eddedbf3c1435bfa"),
+    (("matches", "-b", "3,3,3", "--oriented"), 0, "out",
+     "c2e30e5b8d278d0192d0c9747ca82f8d54c5fd950690779c76284b318c15d262"),
+    (("components", "-b", "4,4,4,4,4,4", "-l", "5", "-f", "json"), 0, "out",
+     "bda9f2e2b9e0fad361c6e6fab0de3b3b256ea5c9d504c05ac6be732067c1208f"),
+    (("render", "2,2|1-4,2-3", "--format", "svg"), 0, "out",
+     "ca4ccd2bf6a067903fa61122676896d59a095127ac850a2db53a537d83b75df1"),
+    (("fuse", "-w", "2,2,2", "-l", "4"), 0, "out",
+     "cce43c18d7555d8d4429cb7272c210e70c677be4bea9a7b1047b8d0117dbc8e6"),
+    (("fuse", "-w", "2,2,2", "-l", "4", "-m", "2", "-f", "json"), 0, "out",
+     "c40a9387bab3b24b09d2c87ef43fcdd12972b9ecc0c4d6b1be5bd4a071120c9e"),
+    (("tensor", "-w", "2,2,2", "-f", "json"), 0, "out",
+     "03621e2b12907206600933c2d339f1ee327a802e1ddf509db6d3b4042da732c5"),
+    (("tensor", "-w", "2,2,2", "-m", "2"), 0, "out",
+     "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
+    (("render", "2|1-2"), 1, "err",
+     "d26653870e574c17dc959810635094f9f7f2427b4788b7f1b9c708d8511ef5da"),
+    (("components", "-b", "5,1", "-l", "2"), 1, "err",
+     "adf1c98f9f3147ed7c69c7779da65f822ccacf1b96e27a0b1ecb5b1079c130b3"),
+]
+
+
+def test_outputs_match_parent_digests(capsys):
+    for argv, expected_code, stream, digest in PARENT_DIGESTS:
+        code, out, err = run(capsys, *argv)
+        text = out if stream == "out" else err
+        assert code == expected_code, argv
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv

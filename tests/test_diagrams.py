@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionkit import diagrams
+from fusionkit.cli import main
 from fusionkit.diagrams import (
     BoxConfig,
     LowerMatch,
@@ -20,6 +23,8 @@ from fusionkit.diagrams import (
     parse_canonical_key,
     validate,
 )
+from fusionkit.geometry import component_census
+from fusionkit.module_action import action_matrices, build_basis
 from fusionkit.ring import RingElement, dim_hom_tensor, ring_mul, weight_multiplicities
 from fusionkit.verify import _all_partial_matchings
 
@@ -31,7 +36,7 @@ def brute_force_lcm(sizes: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]
     return sorted(
         arcs
         for arcs in set(_all_partial_matchings(boxes.total))
-        if validate(LowerMatch(boxes, arcs))
+        if validate(boxes, arcs)
     )
 
 
@@ -61,17 +66,70 @@ def test_box_config_errors():
 
 
 def test_validate_examples():
-    assert validate(LowerMatch((1, 1), ((1, 2),))) is True
-    assert validate(LowerMatch((2,), ((1, 2),))) is False
-    assert validate(LowerMatch((1, 1, 1), ((1, 3),))) is False
+    assert validate((1, 1), ((1, 2),)) is True
+    assert validate((2,), ((1, 2),)) is False
+    assert validate((1, 1, 1), ((1, 3),)) is False
 
 
 def test_validate_rejects_crossings_and_reuse():
-    assert validate(LowerMatch((1, 1, 1, 1), ((1, 3), (2, 4)))) is False
-    assert validate(LowerMatch((1, 1, 1, 1), ((1, 4), (2, 3)))) is True
-    assert validate(LowerMatch((1, 1), ((1, 2), (1, 2)))) is False
-    assert validate(LowerMatch((1, 1), ((0, 2),))) is False
-    assert validate(LowerMatch((1, 1), ((1, 5),))) is False
+    assert validate((1, 1, 1, 1), ((1, 3), (2, 4))) is False
+    assert validate((1, 1, 1, 1), ((2, 4), (1, 3))) is False
+    assert validate((1, 1, 1, 1), ((1, 4), (2, 3))) is True
+    assert validate((1, 1), ((1, 2), (1, 2))) is False
+    assert validate((1, 1), ((0, 2),)) is False
+    assert validate((1, 1), ((1, 5),)) is False
+
+
+# ------------------------------------------------------- validity by construction
+
+
+def test_construction_rejects_invalid_arcs():
+    for sizes, arcs in [
+        ((2,), ((1, 2),)),
+        ((1, 1, 1), ((1, 3),)),
+        ((1, 1, 1, 1), ((1, 3), (2, 4))),
+        ((1, 1), ((1, 2), (1, 2))),
+        ((1, 1), ((1, 5),)),
+    ]:
+        with pytest.raises(ValueError, match="invalid lower match"):
+            LowerMatch(sizes, arcs)
+
+
+def test_replace_rejects_invalid_arcs():
+    m = LowerMatch((1, 1, 1, 1), ((1, 4), (2, 3)))
+    assert dataclasses.replace(m, arcs=((1, 2), (3, 4))).arcs == ((1, 2), (3, 4))
+    with pytest.raises(ValueError, match="invalid lower match"):
+        dataclasses.replace(m, arcs=((1, 3), (2, 4)))
+
+
+def test_kernel_matches_equal_user_built_matches():
+    for r in range(1, 5):
+        for ws in itertools.product(range(0, 4), repeat=r):
+            for m in enumerate_lcm(ws):
+                rebuilt = LowerMatch(m.boxes, m.arcs)
+                assert rebuilt == m and hash(rebuilt) == hash(m), (ws, m.arcs)
+
+
+def test_validate_runs_once_per_user_built_match_and_never_on_kernel_output(
+    monkeypatch, capsys
+):
+    calls = []
+
+    def counting(boxes, arcs):
+        calls.append(arcs)
+        return validate(boxes, arcs)
+
+    monkeypatch.setattr(diagrams, "validate", counting)
+    component_census((2, 2, 2, 2), 3)
+    action_matrices(build_basis((2, 1, 2), 3))
+    assert main(["matches", "-b", "2,1,2", "--oriented"]) == 0
+    assert capsys.readouterr().out.count("weight=") == 18
+    assert calls == []
+
+    LowerMatch((1, 1), ((1, 2),))
+    parse_canonical_key("2,2|1-4,2-3")
+    LowerMatch.from_json_dict({"boxes": [1, 1], "arcs": [[1, 2]], "mu": 0})
+    assert len(calls) == 3
 
 
 # ------------------------------------------------------------------- enumeration
@@ -143,7 +201,7 @@ def test_cm_counts_equal_hom_dimensions():
 def test_enumerated_matches_are_valid_and_unnested(sizes):
     total_oriented = 0
     for m in enumerate_lcm(tuple(sizes)):
-        assert validate(m)
+        assert validate(m.boxes, m.arcs)
         free = m.unmatched()
         assert not any(p < u < q for u in free for p, q in m.arcs)
         total_oriented += m.mu + 1
@@ -245,3 +303,20 @@ def test_lower_match_json_roundtrip():
         assert LowerMatch.from_json_dict(m.to_json_dict()) == m
         for o in orientations(m):
             assert OrientedLowerMatch.from_json_dict(o.to_json_dict()) == o
+
+
+def test_lower_match_json_rejects_mu_that_disagrees_with_arcs():
+    with pytest.raises(ValueError, match="mu 7"):
+        LowerMatch.from_json_dict({"boxes": [1, 1], "arcs": [[1, 2]], "mu": 7})
+
+
+def test_oriented_json_rejects_weight_that_disagrees_with_downs():
+    obj = {"boxes": [1, 1], "arcs": [], "mu": 2, "downs": 1, "weight": 2}
+    with pytest.raises(ValueError, match="weight 2"):
+        OrientedLowerMatch.from_json_dict(obj)
+    assert OrientedLowerMatch.from_json_dict({**obj, "weight": 0}).weight == 0
+
+
+def test_lower_match_json_rejects_invalid_arcs():
+    with pytest.raises(ValueError, match="invalid lower match"):
+        LowerMatch.from_json_dict({"boxes": [2], "arcs": [[1, 2]], "mu": 0})

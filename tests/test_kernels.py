@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +18,16 @@ def brute_force_arc_sets(sizes) -> list[tuple[tuple[int, int], ...]]:
     return sorted(
         arcs
         for arcs in set(verify._all_partial_matchings(boxes.total))
-        if diagrams.validate(diagrams.LowerMatch(boxes, arcs))
+        if diagrams.validate(boxes, arcs)
     )
 
 
 def test_kernel_equals_brute_force_exhaustively():
     for r in range(1, 4):
         for sizes in itertools.product(range(0, 4), repeat=r):
-            assert list(kernels.enumerate_arc_sets(sizes)) == brute_force_arc_sets(sizes), sizes
+            expected = brute_force_arc_sets(sizes)
+            assert list(kernels.enumerate_arc_sets(sizes)) == expected, sizes
+            assert kernels._match_count(sizes) == len(expected), sizes
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,6 +50,14 @@ def test_kernel_edge_cases():
         kernels.enumerate_arc_sets((-1, 2))
     with pytest.raises(ValueError):
         kernels.enumerate_arc_sets((kernels.MAX_VERTICES + 1,))
+
+
+def test_kernel_refuses_more_than_max_matches_before_searching():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at most 1000000 matches, got 10651488789"):
+        kernels.enumerate_arc_sets((4,) * 16)
+    assert time.perf_counter() - start < 1.0
+    assert len(kernels.enumerate_arc_sets((4,) * 8)) == 38165
 
 
 def test_cached_wrapper_returns_tuples():
