@@ -7,7 +7,9 @@ operation; its scope is the interval of factors it combines.  At level ``l`` a
 match passes the budget when, for every operation, the number of curves that
 touch the operation's scope without being internal to an already-combined side
 is at most ``l``.  Unmatched vertices always count: their curve leaves every
-scope.
+scope.  The largest of these numbers is the match's budget load, so the match
+passes at every level from its load up; ``budget_loads`` computes the loads of
+all matches of a box tuple once per tree.
 
 The closed-form stratum counts ``ra_count``/``rb_count`` (and the ``_c``
 variants for diagrams with arcs joining the outer factors) count the
@@ -23,10 +25,13 @@ so that no stratum is counted that cannot exist.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
-from .diagrams import BoxConfig, LowerMatch, _as_weight, enumerate_cm
+from . import kernels
+from .diagrams import BoxConfig, LowerMatch, _as_weight
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,10 @@ class BracketTree:
     lo: int
     hi: int
     children: tuple["BracketTree", "BracketTree"] | None = None
+    # (S lo, A hi, B lo, S hi) per internal node, in postorder.
+    _flat_scopes: tuple[tuple[int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.lo < 1 or self.hi < self.lo:
@@ -43,6 +52,7 @@ class BracketTree:
         if self.children is None:
             if self.lo != self.hi:
                 raise ValueError("a leaf must cover a single index")
+            flat = ()
         else:
             left, right = self.children
             if left.lo != self.lo or right.hi != self.hi or left.hi + 1 != right.lo:
@@ -50,6 +60,8 @@ class BracketTree:
                     f"children {left.lo}..{left.hi} and {right.lo}..{right.hi} "
                     f"do not tile {self.lo}..{self.hi}"
                 )
+            flat = left._flat_scopes + right._flat_scopes + ((self.lo, left.hi, right.lo, self.hi),)
+        object.__setattr__(self, "_flat_scopes", flat)
 
     @classmethod
     def leaf(cls, index: int) -> "BracketTree":
@@ -91,24 +103,10 @@ class BracketTree:
 
     def scopes(self) -> tuple["NodeScope", ...]:
         """One scope record per internal node, in postorder."""
-        out: list[NodeScope] = []
-
-        def walk(node: BracketTree) -> None:
-            if node.is_leaf:
-                return
-            left, right = node.children
-            walk(left)
-            walk(right)
-            out.append(
-                NodeScope(
-                    a=(left.lo, left.hi),
-                    b=(right.lo, right.hi),
-                    s=(node.lo, node.hi),
-                )
-            )
-
-        walk(self)
-        return tuple(out)
+        return tuple(
+            NodeScope(a=(slo, ahi), b=(blo, shi), s=(slo, shi))
+            for slo, ahi, blo, shi in self._flat_scopes
+        )
 
     def __str__(self) -> str:
         if self.is_leaf:
@@ -175,15 +173,20 @@ def enumerate_trees(r: int) -> list[BracketTree]:
     if not 1 <= r <= 8:
         raise ValueError(f"tree enumeration supports 1..8 leaves, got {r}")
 
+    # Trees are immutable, so each interval's subtrees are built once and shared.
+    built: dict[tuple[int, int], list[BracketTree]] = {}
+
     def build(lo: int, hi: int) -> list[BracketTree]:
         if lo == hi:
             return [BracketTree.leaf(lo)]
-        out = []
-        for k in range(lo, hi):
-            for left in build(lo, k):
-                for right in build(k + 1, hi):
-                    out.append(BracketTree.join(left, right))
-        return out
+        if (lo, hi) not in built:
+            built[lo, hi] = [
+                BracketTree.join(left, right)
+                for k in range(lo, hi)
+                for left in build(lo, k)
+                for right in build(k + 1, hi)
+            ]
+        return built[lo, hi]
 
     return build(1, r)
 
@@ -204,47 +207,91 @@ def check_alcove(sizes, level) -> int:
     return level
 
 
-def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:
-    """Whether ``m`` fits the level budget of every operation of ``tree``.
+def _check_tree(tree: BracketTree, count: int) -> None:
+    if tree.num_leaves != count or tree.lo != 1:
+        raise ValueError(
+            f"bracketing covers leaves {tree.lo}..{tree.hi} but the match has {count} boxes"
+        )
+
+
+@lru_cache(maxsize=None)
+def _layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(box index of every vertex 1..total with entry 0 unused, prefix sums of sizes)."""
+    box = [0]
+    prefix = [0]
+    for b, s in enumerate(sizes, start=1):
+        box.extend([b] * s)
+        prefix.append(prefix[-1] + s)
+    return tuple(box), tuple(prefix)
+
+
+def _load(sizes, arcs, scopes) -> int:
+    box, prefix = _layout(sizes)
+    arc_boxes = [(box[p], box[q]) for p, q in arcs]
+    load = 0
+    for slo, ahi, blo, shi in scopes:
+        # Every vertex of S counts once, less one for an arc inside S (its two
+        # ends are one curve) and one more if that arc stays inside A or B.
+        count = prefix[shi] - prefix[slo - 1]
+        for bp, bq in arc_boxes:
+            if slo <= bp and bq <= shi:
+                count -= 2 if bq <= ahi or bp >= blo else 1
+        if count > load:
+            load = count
+    return load
+
+
+def budget_load(m: LowerMatch, tree: BracketTree) -> int:
+    """The largest per-operation count of ``m`` over the operations of ``tree``.
 
     The count at an operation with sides A, B and scope S = A u B is: arcs
     joining an A-box to a B-box, plus arcs with exactly one endpoint in an
-    S-box, plus unmatched vertices in S-boxes.  The per-node formulation is
-    equivalent to evaluating the operations in any order compatible with the
-    tree.
+    S-box, plus unmatched vertices in S-boxes.  A one-leaf tree has no
+    operation and load 0.
+    """
+    _check_tree(tree, m.boxes.count)
+    return _load(m.boxes.sizes, m.arcs, tree._flat_scopes)
+
+
+@lru_cache(maxsize=None)
+def budget_loads(sizes: tuple[int, ...], tree: BracketTree) -> tuple[int, ...]:
+    """The budget load of every arc set of ``kernels.enumerate_arc_sets(sizes)``, in order."""
+    _check_tree(tree, len(sizes))
+    scopes = tree._flat_scopes
+    return tuple(_load(sizes, arcs, scopes) for arcs in kernels.enumerate_arc_sets(sizes))
+
+
+def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:
+    """Whether ``m`` fits the level budget of every operation of ``tree``.
+
+    That is, whether its :func:`budget_load` is at most ``level``.  The
+    per-node formulation is equivalent to evaluating the operations in any
+    order compatible with the tree.
     """
     level = _check_level(level)
-    if tree.num_leaves != m.boxes.count or tree.lo != 1:
-        raise ValueError(
-            f"bracketing covers leaves {tree.lo}..{tree.hi} "
-            f"but the match has {m.boxes.count} boxes"
-        )
-    boxes = m.boxes
-    arc_boxes = [(boxes.box_of(p), boxes.box_of(q)) for p, q in m.arcs]
-    free_boxes = [boxes.box_of(u) for u in m.unmatched()]
-    for (alo, ahi), (blo, bhi), (slo, shi) in tree.scopes():
-        count = 0
-        for bp, bq in arc_boxes:
-            p_in = slo <= bp <= shi
-            q_in = slo <= bq <= shi
-            if p_in and q_in:
-                if bp <= ahi and bq >= blo:
-                    count += 1
-            elif p_in or q_in:
-                count += 1
-        count += sum(1 for b in free_boxes if slo <= b <= shi)
-        if count > level:
-            return False
-    return True
+    return budget_load(m, tree) <= level
+
+
+@lru_cache(maxsize=None)
+def _sorted_loads_by_mu(sizes: tuple[int, ...], tree: BracketTree) -> tuple[tuple[int, ...], ...]:
+    """Entry mu: the sorted budget loads of the arc sets with mu unmatched vertices."""
+    total = sum(sizes)
+    by_mu: list[list[int]] = [[] for _ in range(total + 1)]
+    for arcs, load in zip(kernels.enumerate_arc_sets(sizes), budget_loads(sizes, tree)):
+        by_mu[total - 2 * len(arcs)].append(load)
+    return tuple(tuple(sorted(loads)) for loads in by_mu)
 
 
 def count_truncated(boxes, mu, level: int, tree: BracketTree | None = None) -> int:
     """Number of matches with ``mu`` unmatched vertices passing the budget."""
     boxes = BoxConfig.coerce(boxes)
     level = check_alcove(boxes.sizes, level)
+    mu = _as_weight(mu)
     if tree is None:
         tree = BracketTree.left_comb(boxes.count)
-    return sum(1 for m in enumerate_cm(boxes, mu) if satisfies_truncation(m, level, tree))
+    _check_tree(tree, boxes.count)
+    by_mu = _sorted_loads_by_mu(boxes.sizes, tree)
+    return bisect_right(by_mu[mu], level) if mu < len(by_mu) else 0
 
 
 def ra_count(w1, w2, w3, level, n) -> int:

@@ -12,7 +12,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .bracketing import BracketTree, _check_level, check_alcove, satisfies_truncation
+from .bracketing import (
+    BracketTree,
+    _check_level,
+    _check_tree,
+    check_alcove,
+    satisfies_truncation,
+)
 from .diagrams import (
     BoxConfig,
     LowerMatch,
@@ -81,15 +87,16 @@ def kernel_profile(m: LowerMatch) -> KernelProfile:
     return KernelProfile(sizes=sizes, dimker=tuple(dimker), rank=census.c)
 
 
+def nl_threshold(m: LowerMatch) -> int:
+    """max_i dimker_i - rank_{i-1}: the inequalities hold exactly at levels from here up."""
+    profile = kernel_profile(m)
+    return max(d - r for d, r in zip(profile.dimker, (0,) + profile.rank))
+
+
 def nl_condition(m: LowerMatch, level) -> bool:
     """The kernel/rank inequalities: dimker_i <= l + rank_{i-1} for all prefixes."""
     level = _check_level(level)
-    profile = kernel_profile(m)
-    for i in range(len(profile.sizes)):
-        bound = level + (profile.rank[i - 1] if i > 0 else 0)
-        if profile.dimker[i] > bound:
-            return False
-    return True
+    return nl_threshold(m) <= level
 
 
 @dataclass(frozen=True)
@@ -126,11 +133,13 @@ def component_census(boxes, level: int | None = None, tree: BracketTree | None =
     mu+1 per stratum, which is the dimension of the module the census indexes.
     """
     boxes = BoxConfig.coerce(boxes)
-    matches = enumerate_lcm(boxes)
     if level is not None:
         level = check_alcove(boxes.sizes, level)
-        if tree is None:
-            tree = BracketTree.left_comb(boxes.count)
+    if tree is None:
+        tree = BracketTree.left_comb(boxes.count)
+    _check_tree(tree, boxes.count)
+    matches = enumerate_lcm(boxes)
+    if level is not None:
         matches = [m for m in matches if satisfies_truncation(m, level, tree)]
     per_mu: dict[int, int] = {}
     for m in matches:

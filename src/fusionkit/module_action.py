@@ -17,12 +17,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .bracketing import BracketTree, check_alcove, satisfies_truncation
+from . import kernels
+from .bracketing import BracketTree, budget_loads, check_alcove
 from .diagrams import (
     BoxConfig,
+    LowerMatch,
     OrientedLowerMatch,
     canonical_key,
-    enumerate_lcm,
     orientations,
 )
 
@@ -57,9 +58,10 @@ def build_basis(boxes, level, tree: BracketTree | None = None) -> ModuleBasis:
     if tree is None:
         tree = BracketTree.left_comb(boxes.count)
     elements: list[OrientedLowerMatch] = []
-    for m in enumerate_lcm(boxes):
-        if satisfies_truncation(m, level, tree):
-            elements.extend(orientations(m))
+    loads = budget_loads(boxes.sizes, tree)
+    for arcs, load in zip(kernels.enumerate_arc_sets(boxes.sizes), loads):
+        if load <= level:
+            elements.extend(orientations(LowerMatch._from_kernel(boxes, arcs)))
     return ModuleBasis(boxes=boxes, level=level, tree=tree, elements=tuple(elements))
 
 

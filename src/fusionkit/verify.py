@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import bracketing, diagrams, geometry, module_action, ring
 from .bracketing import BracketTree
@@ -198,17 +199,30 @@ def _all_partial_matchings(n: int):
     yield from go(tuple(range(1, n + 1)))
 
 
+@lru_cache(maxsize=None)
+def _unit_box_matchings(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The partial matchings of 1..n that ``validate`` accepts on n boxes of size 1, sorted.
+
+    Any box tuple with n vertices refines to unit boxes by splitting boxes,
+    which only drops the rule that no arc joins a box to itself; so every
+    match on those boxes is among these, and filtering them with
+    ``validate(boxes, .)`` gives exactly the brute-force set.
+    """
+    unit = diagrams.BoxConfig((1,) * n or (0,))
+    return tuple(
+        sorted(arcs for arcs in set(_all_partial_matchings(n)) if diagrams.validate(unit, arcs))
+    )
+
+
 def _matches_brute_force_equivalence(bounds: Bounds) -> PropertyResult:
     res = PropertyResult("matches", "brute_force_equivalence")
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         if sum(ws) > 10:
             continue
         boxes = diagrams.BoxConfig(ws)
-        brute = sorted(
-            arcs
-            for arcs in set(_all_partial_matchings(boxes.total))
-            if diagrams.validate(boxes, arcs)
-        )
+        brute = [
+            arcs for arcs in _unit_box_matchings(boxes.total) if diagrams.validate(boxes, arcs)
+        ]
         fast = [m.arcs for m in diagrams.enumerate_lcm(boxes)]
         res.check(brute == fast, f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}")
     return res
@@ -279,9 +293,11 @@ def _bracketing_level_monotonicity(bounds: Bounds) -> PropertyResult:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         tree = BracketTree.left_comb(len(ws))
         for m in diagrams.enumerate_lcm(ws):
-            for level in range(1, bounds.max_level):
-                lower = bracketing.satisfies_truncation(m, level, tree)
-                higher = bracketing.satisfies_truncation(m, level + 1, tree)
+            passes = [
+                bracketing.satisfies_truncation(m, level, tree)
+                for level in range(1, bounds.max_level + 1)
+            ]
+            for level, lower, higher in zip(itertools.count(1), passes, passes[1:]):
                 res.check(
                     higher or not lower,
                     f"ws={ws} arcs={m.arcs}: passes l={level} but not l={level + 1}",
@@ -431,9 +447,11 @@ def _geometry_nl_equiv_budget(bounds: Bounds) -> PropertyResult:
         tree = BracketTree.left_comb(len(ws))
         start_level = max(ws) if len(ws) == 1 else 1
         for m in diagrams.enumerate_lcm(ws):
+            threshold = geometry.nl_threshold(m)
+            load = bracketing.budget_load(m, tree)
             for level in range(start_level, bounds.max_level + 1):
-                got = geometry.nl_condition(m, level)
-                expected = bracketing.satisfies_truncation(m, level, tree)
+                got = threshold <= level
+                expected = load <= level
                 res.check(
                     got == expected,
                     f"ws={ws} arcs={m.arcs} l={level}: nl={got} budget={expected}",

@@ -5,9 +5,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fusionkit import bracketing, verify
 from fusionkit.bracketing import (
     BracketTree,
+    budget_load,
+    budget_loads,
     count_truncated,
     enumerate_trees,
     parse_bracketing,
@@ -17,10 +22,41 @@ from fusionkit.bracketing import (
     rb_count_c,
     satisfies_truncation,
 )
-from fusionkit.diagrams import LowerMatch, enumerate_lcm
+from fusionkit.diagrams import LowerMatch, enumerate_lcm, orientations
+from fusionkit.module_action import build_basis
 from fusionkit.ring import dim_hom_fusion
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
+
+
+def _scopes_by_walk(tree: BracketTree) -> list:
+    """(A, B, S) leaf intervals of every internal node, found by walking the children."""
+    if tree.is_leaf:
+        return []
+    left, right = tree.children
+    own = ((left.lo, left.hi), (right.lo, right.hi), (tree.lo, tree.hi))
+    return _scopes_by_walk(left) + _scopes_by_walk(right) + [own]
+
+
+def _budget_ok_by_scope(m: LowerMatch, level: int, tree: BracketTree) -> bool:
+    """Oracle for the budget: count every operation's curves, scope by scope."""
+    boxes = m.boxes
+    arc_boxes = [(boxes.box_of(p), boxes.box_of(q)) for p, q in m.arcs]
+    free_boxes = [boxes.box_of(u) for u in m.unmatched()]
+    for (alo, ahi), (blo, bhi), (slo, shi) in _scopes_by_walk(tree):
+        count = 0
+        for bp, bq in arc_boxes:
+            p_in = slo <= bp <= shi
+            q_in = slo <= bq <= shi
+            if p_in and q_in:
+                if bp <= ahi and bq >= blo:
+                    count += 1
+            elif p_in or q_in:
+                count += 1
+        count += sum(1 for b in free_boxes if slo <= b <= shi)
+        if count > level:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------- parsing
@@ -90,6 +126,7 @@ def test_enumerate_trees_bounds():
 def test_tree_structure_invariants():
     for tree in enumerate_trees(4):
         assert tree.num_leaves == 4
+        assert list(tree.scopes()) == _scopes_by_walk(tree)
         assert len(tree.scopes()) == 3
         for (alo, ahi), (blo, bhi), (slo, shi) in tree.scopes():
             assert alo <= ahi and blo <= bhi
@@ -138,6 +175,43 @@ def test_budget_monotone_in_level():
             assert passing == list(range(min(passing, default=8), 8)), (ws, m)
 
 
+@st.composite
+def _sizes_and_tree(draw):
+    r = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(0, 4), min_size=r, max_size=r).filter(lambda s: sum(s) <= 12))
+    return tuple(sizes), draw(st.sampled_from(enumerate_trees(r)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sizes_and_tree())
+def test_budget_load_equals_per_scope_oracle(case):
+    sizes, tree = case
+    matches = enumerate_lcm(sizes)
+    loads = [budget_load(m, tree) for m in matches]
+    top = max(loads)
+    for m, load in zip(matches, loads):
+        for level in range(1, top + 2):
+            assert (load <= level) == _budget_ok_by_scope(m, level, tree), (sizes, tree, m, level)
+    assert budget_loads(sizes, tree) == tuple(loads)
+
+
+def test_budget_load_examples():
+    pair = BracketTree.left_comb(2)
+    assert budget_load(LowerMatch((1, 1), ((1, 2),)), pair) == 1
+    assert budget_load(LowerMatch((1, 1), ()), pair) == 2
+    assert budget_load(LowerMatch((2,), ()), BracketTree.leaf(1)) == 0
+    m = LowerMatch((1, 1, 1), ((2, 3),))
+    assert budget_load(m, parse_bracketing("((12)3)", 3)) == 2
+    assert budget_load(m, parse_bracketing("(1(23))", 3)) == 1
+
+
+def test_budget_load_rejects_leaf_count_mismatch():
+    with pytest.raises(ValueError, match="covers leaves 1..3 but the match has 2 boxes"):
+        budget_load(LowerMatch((1, 1), ()), BracketTree.left_comb(3))
+    with pytest.raises(ValueError, match="covers leaves 1..3 but the match has 2 boxes"):
+        budget_loads((1, 1), BracketTree.left_comb(3))
+
+
 # -------------------------------------------------------------- count_truncated
 
 
@@ -152,6 +226,67 @@ def test_count_truncated_examples():
 def test_count_truncated_rejects_weights_above_level():
     with pytest.raises(ValueError, match="alcove"):
         count_truncated((3, 1), 0, 2)
+
+
+def test_count_truncated_checks_tree_even_for_an_empty_mu_slice():
+    for mu in (0, 5):
+        with pytest.raises(ValueError, match="covers leaves 1..3 but the match has 2 boxes"):
+            count_truncated((1, 1), mu, 1, BracketTree.left_comb(3))
+
+
+def test_count_truncated_rejects_negative_mu():
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_truncated((1, 1), -1, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_truncated((1, 1), -2, 1, BracketTree.left_comb(2))
+
+
+def test_count_truncated_equals_oracle_filter_for_every_tree():
+    bounds = verify.Bounds()
+    for ws in verify._box_configs(bounds.max_rank, bounds.max_weight):
+        matches = enumerate_lcm(ws)
+        for tree in enumerate_trees(len(ws)):
+            for level in verify._levels(ws, bounds):
+                passing = [m.mu for m in matches if _budget_ok_by_scope(m, level, tree)]
+                for mu in range(sum(ws) + 2):
+                    expected = passing.count(mu)
+                    assert count_truncated(ws, mu, level, tree) == expected, (ws, tree, level, mu)
+
+
+def test_build_basis_equals_enumerate_filter_orient():
+    tree_cache: dict[int, BracketTree] = {}
+    for ws, level, basis in verify._module_sweep(verify.Bounds()):
+        tree = tree_cache.setdefault(len(ws), BracketTree.left_comb(len(ws)))
+        expected = [
+            o
+            for m in enumerate_lcm(ws)
+            if _budget_ok_by_scope(m, level, tree)
+            for o in orientations(m)
+        ]
+        assert list(basis.elements) == expected, (ws, level)
+
+
+def test_bracketing_suite_computes_loads_once_per_tuple_and_tree():
+    bounds = verify.Bounds()
+    asked = {(ws, BracketTree.left_comb(len(ws))) for ws in verify._box_configs(4, 4)}
+    for r in (3, 4):
+        for ws in itertools.product(range(1, 5), repeat=r):
+            asked.update((ws, t) for t in enumerate_trees(r))
+    budget_loads.cache_clear()
+    bracketing._sorted_loads_by_mu.cache_clear()
+    results = verify.run_suites(["bracketing"], bounds)
+    assert all(r.passed for r in results)
+    info = budget_loads.cache_info()
+    assert info.misses == len(asked) == 1428
+    assert info.hits == 0
+
+
+def test_build_basis_reads_the_shared_loads():
+    budget_loads.cache_clear()
+    build_basis((2, 1, 2), 3)
+    build_basis((2, 1, 2), 2)
+    info = budget_loads.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_count_truncated_equals_fusion_dimension():

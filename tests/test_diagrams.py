@@ -26,18 +26,14 @@ from fusionkit.diagrams import (
 from fusionkit.geometry import component_census
 from fusionkit.module_action import action_matrices, build_basis
 from fusionkit.ring import RingElement, dim_hom_tensor, ring_mul, weight_multiplicities
-from fusionkit.verify import _all_partial_matchings
+from fusionkit.verify import _unit_box_matchings
 
 # ----------------------------------------------------------- brute-force oracle
 
 
 def brute_force_lcm(sizes: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
     boxes = BoxConfig(sizes)
-    return sorted(
-        arcs
-        for arcs in set(_all_partial_matchings(boxes.total))
-        if validate(boxes, arcs)
-    )
+    return [arcs for arcs in _unit_box_matchings(boxes.total) if validate(boxes, arcs)]
 
 
 # --------------------------------------------------------------------- BoxConfig

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from fusionkit import verify
 from fusionkit.bracketing import BracketTree, satisfies_truncation
 from fusionkit.diagrams import LowerMatch, enumerate_lcm
 from fusionkit.geometry import (
@@ -16,6 +17,7 @@ from fusionkit.geometry import (
     hw_from_rank,
     kernel_profile,
     nl_condition,
+    nl_threshold,
 )
 from fusionkit.ring import fuse_many, weight_multiplicities
 
@@ -115,6 +117,28 @@ def test_nl_condition_equals_left_comb_budget():
                     )
 
 
+def _nl_ok_by_prefix(profile, level: int) -> bool:
+    """Oracle for the kernel/rank inequalities, checked prefix by prefix."""
+    for i in range(len(profile.sizes)):
+        bound = level + (profile.rank[i - 1] if i > 0 else 0)
+        if profile.dimker[i] > bound:
+            return False
+    return True
+
+
+def test_nl_threshold_equals_per_prefix_oracle():
+    bounds = verify.Bounds()
+    for ws in verify._box_configs(bounds.max_rank, bounds.max_weight):
+        for m in enumerate_lcm(ws):
+            profile = kernel_profile(m)
+            threshold = nl_threshold(m)
+            for level in range(threshold - 1, bounds.max_level + 2):
+                assert (threshold <= level) == _nl_ok_by_prefix(profile, level), (ws, m.arcs, level)
+            assert nl_condition(m, max(threshold, 1))
+            if threshold > 1:
+                assert not nl_condition(m, threshold - 1)
+
+
 def test_nl_condition_single_box_enforces_alcove():
     assert nl_condition(LowerMatch((2,), ()), 1) is False
     assert nl_condition(LowerMatch((2,), ()), 2) is True
@@ -144,6 +168,14 @@ def test_component_census_labels_in_canonical_order():
 def test_component_census_rejects_weights_above_level():
     with pytest.raises(ValueError, match="alcove"):
         component_census((3, 1), 2)
+
+
+def test_component_census_rejects_tree_with_wrong_leaf_count():
+    with pytest.raises(ValueError, match="covers leaves 1..5 but the match has 2 boxes"):
+        component_census((1, 1), None, BracketTree.left_comb(5))
+    with pytest.raises(ValueError, match="covers leaves 1..5 but the match has 2 boxes"):
+        component_census((1, 1), 2, BracketTree.left_comb(5))
+    assert component_census((1, 1), None, BracketTree.left_comb(2)) == component_census((1, 1))
 
 
 def test_component_census_matches_fusion_dimension():

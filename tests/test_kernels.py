@@ -15,11 +15,38 @@ from fusionkit import diagrams, kernels, verify
 def brute_force_arc_sets(sizes) -> list[tuple[tuple[int, int], ...]]:
     """Every partial matching of the vertex line that is a valid lower match, sorted."""
     boxes = diagrams.BoxConfig(tuple(sizes))
-    return sorted(
-        arcs
-        for arcs in set(verify._all_partial_matchings(boxes.total))
-        if diagrams.validate(boxes, arcs)
-    )
+    return [
+        arcs for arcs in verify._unit_box_matchings(boxes.total) if diagrams.validate(boxes, arcs)
+    ]
+
+
+def _compositions(n: int):
+    """Every tuple of positive box sizes summing to n (the empty tuple for n = 0)."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_unit_box_prefilter_equals_full_filter():
+    # Zero-size boxes hold no vertex, so they change no box boundary; the
+    # positive compositions of n cover every way to cut 1..n into boxes.
+    for n in range(9):
+        every = set(verify._all_partial_matchings(n))
+        for sizes in _compositions(n) if n else [(0,)]:
+            boxes = diagrams.BoxConfig(sizes)
+            full = sorted(arcs for arcs in every if diagrams.validate(boxes, arcs))
+            assert brute_force_arc_sets(sizes) == full, sizes
+
+
+def test_matches_suite_generates_partial_matchings_once_per_vertex_count():
+    verify._unit_box_matchings.cache_clear()
+    results = verify.run_suites(["matches"], verify.Bounds())
+    assert all(r.passed for r in results)
+    info = verify._unit_box_matchings.cache_info()
+    assert info.misses <= 10
+    assert info.hits > 0
 
 
 def test_kernel_equals_brute_force_exhaustively():
