@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from . import kernels
@@ -40,11 +40,10 @@ class BracketTree:
 
     lo: int
     hi: int
-    children: tuple["BracketTree", "BracketTree"] | None = None
+    # Not compared: lo, hi and the scope list determine the tree.
+    children: tuple["BracketTree", "BracketTree"] | None = field(default=None, compare=False)
     # (S lo, A hi, B lo, S hi) per internal node, in postorder.
-    _flat_scopes: tuple[tuple[int, int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    _flat_scopes: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.lo < 1 or self.hi < self.lo:
@@ -74,14 +73,11 @@ class BracketTree:
 
     @classmethod
     def left_comb(cls, r: int) -> "BracketTree":
-        """The default bracketing (...((1 2) 3)... r)."""
+        """The default bracketing (...((1 2) 3)... r), one shared instance per leaf count."""
         r = operator.index(r)
         if r < 1:
             raise ValueError(f"need at least one leaf, got {r}")
-        tree = cls.leaf(1)
-        for i in range(2, r + 1):
-            tree = cls.join(tree, cls.leaf(i))
-        return tree
+        return _left_comb(r)
 
     @classmethod
     def right_comb(cls, r: int) -> "BracketTree":
@@ -113,6 +109,11 @@ class BracketTree:
             return str(self.lo)
         left, right = self.children
         return f"({left}{right})"
+
+
+@lru_cache(maxsize=None)
+def _left_comb(r: int) -> BracketTree:
+    return reduce(BracketTree.join, map(BracketTree.leaf, range(1, r + 1)))
 
 
 class NodeScope(NamedTuple):
@@ -214,19 +215,16 @@ def _check_tree(tree: BracketTree, count: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(box index of every vertex 1..total with entry 0 unused, prefix sums of sizes)."""
-    box = [0]
-    prefix = [0]
-    for b, s in enumerate(sizes, start=1):
-        box.extend([b] * s)
-        prefix.append(prefix[-1] + s)
-    return tuple(box), tuple(prefix)
+def resolve_tree(tree: BracketTree | None, count: int) -> BracketTree:
+    """``tree`` checked to cover boxes 1..count; the shared left comb when it is None."""
+    if tree is None:
+        return BracketTree.left_comb(count)
+    _check_tree(tree, count)
+    return tree
 
 
 def _load(sizes, arcs, scopes) -> int:
-    box, prefix = _layout(sizes)
+    box, prefix = kernels.layout(sizes)
     arc_boxes = [(box[p], box[q]) for p, q in arcs]
     load = 0
     for slo, ahi, blo, shi in scopes:
@@ -287,9 +285,7 @@ def count_truncated(boxes, mu, level: int, tree: BracketTree | None = None) -> i
     boxes = BoxConfig.coerce(boxes)
     level = check_alcove(boxes.sizes, level)
     mu = _as_weight(mu)
-    if tree is None:
-        tree = BracketTree.left_comb(boxes.count)
-    _check_tree(tree, boxes.count)
+    tree = resolve_tree(tree, boxes.count)
     by_mu = _sorted_loads_by_mu(boxes.sizes, tree)
     return bisect_right(by_mu[mu], level) if mu < len(by_mu) else 0
 

@@ -82,10 +82,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_tensor(args) -> int:
     _check_mu(args.mu)
-    element = ring.RingElement.unit()
-    for w in args.weights:
-        element = ring.ring_mul(element, ring.RingElement.simple(w))
-    _emit_element(args, element)
+    _emit_element(args, ring.tensor_many(args.weights))
     return 0
 
 
@@ -100,7 +97,7 @@ def cmd_matches(args) -> int:
     if args.mu is not None:
         found = [m for m in found if m.mu == args.mu]
     if args.level is not None:
-        tree = _tree_for(args.bracketing, boxes.count) or bracketing.BracketTree.left_comb(boxes.count)
+        tree = bracketing.resolve_tree(_tree_for(args.bracketing, boxes.count), boxes.count)
         found = [m for m in found if bracketing.satisfies_truncation(m, args.level, tree)]
     if args.oriented:
         oriented = [o for m in found for o in diagrams.orientations(m)]

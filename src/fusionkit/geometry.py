@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .bracketing import (
     BracketTree,
     _check_level,
-    _check_tree,
     check_alcove,
+    resolve_tree,
     satisfies_truncation,
 )
 from .diagrams import (
@@ -118,12 +118,22 @@ class ComponentCensus:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ComponentCensus":
-        return cls(
+        census = cls(
             per_mu={int(k): v for k, v in obj["per_mu"].items()},
             total_components=obj["total_components"],
             total_dim=obj["total_dim"],
             labels=tuple(obj["labels"]),
         )
+        counted = sum(census.per_mu.values())
+        if census.total_components != counted or census.total_components != len(census.labels):
+            raise ValueError(
+                f"total_components {census.total_components} disagrees with per_mu "
+                f"({counted}) or with the {len(census.labels)} labels"
+            )
+        dim = sum((mu + 1) * n for mu, n in census.per_mu.items())
+        if census.total_dim != dim:
+            raise ValueError(f"total_dim {census.total_dim} disagrees with per_mu ({dim})")
+        return census
 
 
 def component_census(boxes, level: int | None = None, tree: BracketTree | None = None) -> ComponentCensus:
@@ -135,9 +145,7 @@ def component_census(boxes, level: int | None = None, tree: BracketTree | None =
     boxes = BoxConfig.coerce(boxes)
     if level is not None:
         level = check_alcove(boxes.sizes, level)
-    if tree is None:
-        tree = BracketTree.left_comb(boxes.count)
-    _check_tree(tree, boxes.count)
+    tree = resolve_tree(tree, boxes.count)
     matches = enumerate_lcm(boxes)
     if level is not None:
         matches = [m for m in matches if satisfies_truncation(m, level, tree)]

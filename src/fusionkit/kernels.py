@@ -38,6 +38,17 @@ def _match_count(sizes: list[int]) -> int:
 
 
 @lru_cache(maxsize=None)
+def layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(box index of every vertex 1..total with entry 0 unused, prefix sums of sizes)."""
+    box = [0]
+    prefix = [0]
+    for b, s in enumerate(sizes, start=1):
+        box.extend([b] * s)
+        prefix.append(prefix[-1] + s)
+    return tuple(box), tuple(prefix)
+
+
+@lru_cache(maxsize=None)
 def enumerate_arc_sets(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All valid arc sets on the vertex line of ``sizes``, canonically ordered.
 
@@ -54,12 +65,7 @@ def enumerate_arc_sets(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], .
     if count > MAX_MATCHES:
         raise ValueError(f"enumeration supports at most {MAX_MATCHES} matches, got {count}")
 
-    box_of = [0] * (w + 1)
-    v = 1
-    for b, s in enumerate(sizes, start=1):
-        for _ in range(s):
-            box_of[v] = b
-            v += 1
+    box_of, _ = layout(tuple(sizes))
 
     out: list[tuple[tuple[int, int], ...]] = []
     stack: list[int] = []

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 
 from . import kernels
-from .bracketing import BracketTree, budget_loads, check_alcove
+from .bracketing import BracketTree, budget_loads, check_alcove, resolve_tree
 from .diagrams import (
     BoxConfig,
     LowerMatch,
@@ -55,8 +55,7 @@ class ModuleBasis:
 def build_basis(boxes, level, tree: BracketTree | None = None) -> ModuleBasis:
     boxes = BoxConfig.coerce(boxes)
     level = check_alcove(boxes.sizes, level)
-    if tree is None:
-        tree = BracketTree.left_comb(boxes.count)
+    tree = resolve_tree(tree, boxes.count)
     elements: list[OrientedLowerMatch] = []
     loads = budget_loads(boxes.sizes, tree)
     for arcs, load in zip(kernels.enumerate_arc_sets(boxes.sizes), loads):

@@ -123,11 +123,21 @@ class RingElement:
         return cls({int(k): v for k, v in obj["coeffs"].items()})
 
 
+def _product(x: RingElement, y: RingElement, level: int | None = None) -> RingElement:
+    """Bilinear product on the weight strings |i-j|, ..., i+j, cut at min(i+j, 2l-i-j) at level l."""
+    acc: dict[int, int] = {}
+    for i, ci in x._coeffs.items():
+        for j, cj in y._coeffs.items():
+            c = ci * cj
+            top = i + j if level is None else min(i + j, 2 * level - i - j)
+            for k in range(abs(i - j), top + 1, 2):
+                acc[k] = acc.get(k, 0) + c
+    return RingElement(acc)
+
+
 def tensor_cg(i, j) -> RingElement:
     """Decomposition of V_i (x) V_j: weight string |i-j|, |i-j|+2, ..., i+j."""
-    i = _as_weight(i)
-    j = _as_weight(j)
-    return RingElement({k: 1 for k in range(abs(i - j), i + j + 1, 2)})
+    return _product(RingElement.simple(_as_weight(i)), RingElement.simple(_as_weight(j)))
 
 
 def fuse_pair(i, j, level) -> RingElement:
@@ -135,30 +145,20 @@ def fuse_pair(i, j, level) -> RingElement:
     i = _as_weight(i)
     j = _as_weight(j)
     level = check_alcove((i, j), level)
-    top = min(i + j, 2 * level - i - j)
-    return RingElement({k: 1 for k in range(abs(i - j), top + 1, 2)})
+    return _product(RingElement.simple(i), RingElement.simple(j), level)
 
 
 def ring_mul(x: RingElement, y: RingElement) -> RingElement:
     """Bilinear extension of :func:`tensor_cg`; commutative, unit [V_0]."""
-    acc: dict[int, int] = {}
-    for i, ci in x._coeffs.items():
-        for j, cj in y._coeffs.items():
-            c = ci * cj
-            for k in range(abs(i - j), i + j + 1, 2):
-                acc[k] = acc.get(k, 0) + c
-    return RingElement(acc)
+    return _product(x, y)
 
 
-def _fuse_elements(x: RingElement, y: RingElement, level: int) -> RingElement:
-    acc: dict[int, int] = {}
-    for i, ci in x._coeffs.items():
-        for j, cj in y._coeffs.items():
-            c = ci * cj
-            top = min(i + j, 2 * level - i - j)
-            for k in range(abs(i - j), top + 1, 2):
-                acc[k] = acc.get(k, 0) + c
-    return RingElement(acc)
+def tensor_many(ws) -> RingElement:
+    """The plain tensor product of the simples V_w for w in ``ws`` (the unit when empty)."""
+    acc = RingElement.unit()
+    for w in ws:
+        acc = _product(acc, RingElement.simple(_as_weight(w)))
+    return acc
 
 
 def fuse_many(ws, level, tree: BracketTree | None = None) -> RingElement:
@@ -182,7 +182,7 @@ def fuse_many(ws, level, tree: BracketTree | None = None) -> RingElement:
         if node.is_leaf:
             return RingElement.simple(ws[node.lo - 1])
         left, right = node.children
-        return _fuse_elements(fold(left), fold(right), level)
+        return _product(fold(left), fold(right), level)
 
     return fold(tree)
 
@@ -212,10 +212,7 @@ def quotient_reduce(x: RingElement, level) -> RingElement:
 def dim_hom_tensor(ws, mu) -> int:
     """Multiplicity of V_mu in the plain tensor product of the given simples."""
     mu = _as_weight(mu)
-    acc = RingElement.unit()
-    for w in ws:
-        acc = ring_mul(acc, RingElement.simple(_as_weight(w)))
-    return acc.coeff(mu)
+    return tensor_many(ws).coeff(mu)
 
 
 def dim_hom_fusion(ws, mu, level, tree: BracketTree | None = None) -> int:

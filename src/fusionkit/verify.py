@@ -148,9 +148,10 @@ def _matches_cm_count_equals_hom_dim(bounds: Bounds) -> PropertyResult:
         counts: dict[int, int] = {}
         for m in diagrams.enumerate_lcm(ws):
             counts[m.mu] = counts.get(m.mu, 0) + 1
+        product = ring.tensor_many(ws)
         for mu in range(sum(ws) + 1):
             got = counts.get(mu, 0)
-            expected = ring.dim_hom_tensor(ws, mu)
+            expected = product.coeff(mu)
             res.check(got == expected, f"ws={ws} mu={mu}: {got} matches, hom dim {expected}")
     return res
 
@@ -173,10 +174,7 @@ def _matches_weight_census(bounds: Bounds) -> PropertyResult:
         for m in diagrams.enumerate_lcm(ws):
             for o in diagrams.orientations(m):
                 census[o.weight] = census.get(o.weight, 0) + 1
-        product = ring.RingElement.unit()
-        for w in ws:
-            product = ring.ring_mul(product, ring.RingElement.simple(w))
-        expected = ring.weight_multiplicities(product)
+        expected = ring.weight_multiplicities(ring.tensor_many(ws))
         res.check(census == expected, f"ws={ws}: census {census} != {expected}")
     return res
 
@@ -247,9 +245,10 @@ def _bracketing_count_equals_fusion_dim(bounds: Bounds) -> PropertyResult:
     res = PropertyResult("bracketing", "truncated_count_equals_fusion_dim")
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         for level in _levels(ws, bounds):
+            fused = ring.fuse_many(ws, level)
             for mu in range(sum(ws) + 1):
                 got = bracketing.count_truncated(ws, mu, level)
-                expected = ring.dim_hom_fusion(ws, mu, level)
+                expected = fused.coeff(mu)
                 res.check(
                     got == expected,
                     f"ws={ws} mu={mu} l={level}: counted {got}, fusion dim {expected}",

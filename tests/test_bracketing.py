@@ -20,6 +20,7 @@ from fusionkit.bracketing import (
     ra_count_c,
     rb_count,
     rb_count_c,
+    resolve_tree,
     satisfies_truncation,
 )
 from fusionkit.diagrams import LowerMatch, enumerate_lcm, orientations
@@ -131,6 +132,34 @@ def test_tree_structure_invariants():
         for (alo, ahi), (blo, bhi), (slo, shi) in tree.scopes():
             assert alo <= ahi and blo <= bhi
             assert ahi + 1 == blo and (slo, shi) == (alo, bhi)
+
+
+def test_trees_compare_and_hash_by_their_scopes():
+    for r in range(1, 9):
+        trees = enumerate_trees(r)
+        assert all(a != b for a, b in itertools.combinations(trees, 2)), r
+        for tree in trees:
+            parsed = parse_bracketing(str(tree), r)
+            assert parsed is not tree
+            assert parsed == tree and hash(parsed) == hash(tree), str(tree)
+
+
+def test_default_tree_is_one_shared_left_comb():
+    for r in range(1, 9):
+        comb = BracketTree.left_comb(r)
+        assert comb is BracketTree.left_comb(r)
+        assert resolve_tree(None, r) is comb
+        text = "1"
+        for i in range(2, r + 1):
+            text = f"({text}{i})"
+        assert comb == parse_bracketing(text, r)
+        tree = enumerate_trees(r)[-1]
+        assert resolve_tree(tree, r) is tree
+
+
+def test_resolve_tree_rejects_leaf_count_mismatch():
+    with pytest.raises(ValueError, match="covers leaves 1..3 but the match has 2 boxes"):
+        resolve_tree(BracketTree.left_comb(3), 2)
 
 
 # ----------------------------------------------------------------- level budget

@@ -417,9 +417,36 @@ PARENT_DIGESTS = [
 ]
 
 
-def test_outputs_match_parent_digests(capsys):
-    for argv, expected_code, stream, digest in PARENT_DIGESTS:
+# sha256 digests recorded before the weight string, the default bracketing and
+# the vertex layout each got one owner: truncated listings, non-default
+# bracketings, the plain tensor fold and a small verify sweep.
+SHARED_DEFAULTS_DIGESTS = [
+    (("matches", "-b", "2,3,2,3", "-l", "4", "-s", "(1(2(34)))"), 0, "out",
+     "60956b895bce382c1dcac95c1aee2a8a7c9e8959f83855171712be77a8cd4f31"),
+    (("matches", "-b", "2,3,2,3", "-l", "4", "-m", "2"), 0, "out",
+     "0e8f87bd1f96d7b02d886afa0579de5a453f2df602441cef16dcd8752c6ed905"),
+    (("components", "-b", "3,2,3,2,1", "-l", "4", "-s", "((1(23))(45))", "-f", "json"), 0, "out",
+     "b12c9a64dd718e704d4f1d7eeaca67c940f7915e72b5494e98b3c820ba4f1f22"),
+    (("tensor", "-w", "2,3,1", "-f", "json"), 0, "out",
+     "ba6625727237c0671dd083ad8e505a541b7c48c1c525de04ff1f69507e08ae81"),
+    (("fuse", "-w", "2,3,1", "-l", "3", "-s", "(1(23))"), 0, "out",
+     "c6fbb8b696fd8c31cbe7c9dfbc8e3465afc780f8f6159979a23b0b03227b1bd0"),
+    (("verify", "--suite", "all", "--max-rank", "3", "--max-weight", "3", "--max-level", "4"), 0, "out",
+     "c242c0e02bcf6bf3ddbfeb8ac28f24f13c107e15fbba0ec840fd3aa6ce59df70"),
+]
+
+
+def _assert_digests(capsys, cases):
+    for argv, expected_code, stream, digest in cases:
         code, out, err = run(capsys, *argv)
         text = out if stream == "out" else err
         assert code == expected_code, argv
         assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+
+
+def test_outputs_match_parent_digests(capsys):
+    _assert_digests(capsys, PARENT_DIGESTS)
+
+
+def test_truncated_and_bracketed_outputs_match_parent_digests(capsys):
+    _assert_digests(capsys, SHARED_DEFAULTS_DIGESTS)

@@ -217,3 +217,37 @@ def test_pair_highest_weight_window():
 def test_component_census_json_roundtrip():
     census = component_census((2, 1, 2), 3)
     assert ComponentCensus.from_json_dict(census.to_json_dict()) == census
+
+
+def test_component_census_json_rejects_total_components_that_disagrees_with_per_mu():
+    obj = component_census((2, 1, 2), 3).to_json_dict()
+    obj["total_components"] += 1
+    obj["labels"].append(obj["labels"][0])
+    with pytest.raises(ValueError, match="total_components"):
+        ComponentCensus.from_json_dict(obj)
+    with pytest.raises(ValueError, match="total_components 5"):
+        ComponentCensus.from_json_dict(
+            {"per_mu": {"0": 1}, "total_components": 5, "total_dim": 1, "labels": ["1,1|1-2"]}
+        )
+    with pytest.raises(ValueError):
+        ComponentCensus.from_json_dict(
+            {"per_mu": {"0": 1}, "total_components": 5, "total_dim": 9, "labels": []}
+        )
+
+
+def test_component_census_json_rejects_total_components_that_disagrees_with_labels():
+    obj = component_census((2, 1, 2), 3).to_json_dict()
+    obj["labels"].pop()
+    with pytest.raises(ValueError, match="labels"):
+        ComponentCensus.from_json_dict(obj)
+
+
+def test_component_census_json_rejects_total_dim_that_disagrees_with_per_mu():
+    obj = component_census((2, 1, 2), 3).to_json_dict()
+    obj["total_dim"] -= 1
+    with pytest.raises(ValueError, match="total_dim"):
+        ComponentCensus.from_json_dict(obj)
+    with pytest.raises(ValueError, match="total_dim 9"):
+        ComponentCensus.from_json_dict(
+            {"per_mu": {"0": 1}, "total_components": 1, "total_dim": 9, "labels": ["1,1|1-2"]}
+        )

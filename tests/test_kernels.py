@@ -92,3 +92,14 @@ def test_cached_wrapper_returns_tuples():
     assert isinstance(out, tuple)
     assert out == ((), ((1, 2),))
     assert kernels.enumerate_arc_sets((1, 1)) is out
+
+
+def test_layout_gives_the_box_of_each_vertex_and_prefix_sums():
+    assert kernels.layout((2, 0, 1)) == ((0, 1, 1, 3), (0, 2, 2, 3))
+    assert kernels.layout((0,)) == ((0,), (0, 0))
+    assert kernels.layout((1, 2)) is kernels.layout((1, 2))
+    for sizes in itertools.product(range(0, 4), repeat=3):
+        box, prefix = kernels.layout(sizes)
+        boxes = diagrams.BoxConfig(sizes)
+        assert box[1:] == tuple(boxes.box_of(v) for v in range(1, boxes.total + 1)), sizes
+        assert prefix[-1] == boxes.total

@@ -24,6 +24,7 @@ from fusionkit.ring import (
     quotient_reduce,
     ring_mul,
     tensor_cg,
+    tensor_many,
     weight_multiplicities,
 )
 
@@ -322,6 +323,28 @@ def test_quotient_reduce_linear_and_idempotent(a, b, level):
     assert quotient_reduce(x + y, level) == rx + quotient_reduce(y, level)
     assert quotient_reduce(rx, level) == rx
     assert all(k <= level for k in rx.support())
+
+
+# ------------------------------------------------------------------ tensor_many
+
+
+def test_tensor_many_examples():
+    assert tensor_many([]) == RingElement.unit()
+    assert tensor_many([3]) == RingElement.simple(3)
+    assert tensor_many([1, 1, 1]).coeffs == {1: 2, 3: 1}
+    assert tensor_many(iter([2, 0, 1])) == tensor_cg(2, 1)
+
+
+def test_ring_inputs_are_checked_before_the_product():
+    # A string weight must not slip through RingElement's JSON-key coercion.
+    with pytest.raises(TypeError):
+        tensor_cg("3", 1)
+    with pytest.raises(TypeError):
+        fuse_pair("1", 1, 2)
+    with pytest.raises(TypeError):
+        tensor_many(["1"])
+    with pytest.raises(ValueError, match="highest weight must be a nonnegative integer, got -1"):
+        tensor_many([-1])
 
 
 # --------------------------------------------------------------- hom dimensions
