@@ -223,22 +223,6 @@ def resolve_tree(tree: BracketTree | None, count: int) -> BracketTree:
     return tree
 
 
-def _load(sizes, arcs, scopes) -> int:
-    box, prefix = kernels.layout(sizes)
-    arc_boxes = [(box[p], box[q]) for p, q in arcs]
-    load = 0
-    for slo, ahi, blo, shi in scopes:
-        # Every vertex of S counts once, less one for an arc inside S (its two
-        # ends are one curve) and one more if that arc stays inside A or B.
-        count = prefix[shi] - prefix[slo - 1]
-        for bp, bq in arc_boxes:
-            if slo <= bp and bq <= shi:
-                count -= 2 if bq <= ahi or bp >= blo else 1
-        if count > load:
-            load = count
-    return load
-
-
 def budget_load(m: LowerMatch, tree: BracketTree) -> int:
     """The largest per-operation count of ``m`` over the operations of ``tree``.
 
@@ -248,7 +232,7 @@ def budget_load(m: LowerMatch, tree: BracketTree) -> int:
     operation and load 0.
     """
     _check_tree(tree, m.boxes.count)
-    return _load(m.boxes.sizes, m.arcs, tree._flat_scopes)
+    return kernels.load(m.boxes.sizes, m.arcs, tree._flat_scopes)
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +240,24 @@ def budget_loads(sizes: tuple[int, ...], tree: BracketTree) -> tuple[int, ...]:
     """The budget load of every arc set of ``kernels.enumerate_arc_sets(sizes)``, in order."""
     _check_tree(tree, len(sizes))
     scopes = tree._flat_scopes
-    return tuple(_load(sizes, arcs, scopes) for arcs in kernels.enumerate_arc_sets(sizes))
+    return tuple(kernels.load(sizes, arcs, scopes) for arcs in kernels.enumerate_arc_sets(sizes))
+
+
+def search_budget(sizes: tuple[int, ...], level: int, tree: BracketTree):
+    """The budget ``kernels.enumerate_arc_sets`` prunes with, or None if it prunes nothing.
+
+    It is ``(level, scopes)``, holding the operations of ``tree`` that end
+    before the last vertex and span more than ``level`` vertices: only those
+    can fail on a prefix the search has passed.  The others, the root among
+    them, are left to :func:`satisfies_truncation`, which gives the verdict.
+    """
+    _, prefix = kernels.layout(sizes)
+    scopes = tuple(
+        scope
+        for scope in tree._flat_scopes
+        if prefix[scope[3]] < prefix[-1] and prefix[scope[3]] - prefix[scope[0] - 1] > level
+    )
+    return (level, scopes) if scopes else None
 
 
 def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:

@@ -91,13 +91,16 @@ def cmd_matches(args) -> int:
         raise UsageError("--bracketing requires --level")
     _check_mu(args.mu)
     boxes = diagrams.BoxConfig(tuple(args.boxes))
-    if args.level is not None:
+    if args.level is None:
+        found = diagrams.enumerate_lcm(boxes)
+    else:
         bracketing.check_alcove(boxes.sizes, args.level)
-    found = diagrams.enumerate_lcm(boxes)
+        tree = bracketing.resolve_tree(_tree_for(args.bracketing, boxes.count), boxes.count)
+        budget = bracketing.search_budget(boxes.sizes, args.level, tree)
+        found = diagrams.enumerate_lcm(boxes, budget)
     if args.mu is not None:
         found = [m for m in found if m.mu == args.mu]
     if args.level is not None:
-        tree = bracketing.resolve_tree(_tree_for(args.bracketing, boxes.count), boxes.count)
         found = [m for m in found if bracketing.satisfies_truncation(m, args.level, tree)]
     if args.oriented:
         oriented = [o for m in found for o in diagrams.orientations(m)]

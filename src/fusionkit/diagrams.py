@@ -218,16 +218,23 @@ def validate(boxes, arcs) -> bool:
     return True
 
 
-def enumerate_lcm(boxes) -> list[LowerMatch]:
+def enumerate_lcm(boxes, budget=None) -> list[LowerMatch]:
     """All lower crossingless matches on ``boxes``, in canonical order.
 
     Canonical order is lexicographic on the sorted arc tuples, with the empty
-    arc set first.
+    arc set first.  A ``budget`` from ``bracketing.search_budget`` keeps only
+    the matches whose finished operations fit the level: every match that
+    passes the budget and some that do not, so ``satisfies_truncation`` still
+    gives the verdict.
     """
     boxes = BoxConfig.coerce(boxes)
-    return [
-        LowerMatch._from_kernel(boxes, arcs) for arcs in kernels.enumerate_arc_sets(boxes.sizes)
-    ]
+    # Without a budget, call with the sizes alone: that is the one cache entry
+    # every untruncated caller shares.
+    if budget is None:
+        arc_sets = kernels.enumerate_arc_sets(boxes.sizes)
+    else:
+        arc_sets = kernels.enumerate_arc_sets(boxes.sizes, budget)
+    return [LowerMatch._from_kernel(boxes, arcs) for arcs in arc_sets]
 
 
 def enumerate_cm(boxes, mu) -> list[LowerMatch]:

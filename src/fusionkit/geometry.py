@@ -18,6 +18,7 @@ from .bracketing import (
     check_alcove,
     resolve_tree,
     satisfies_truncation,
+    search_budget,
 )
 from .diagrams import (
     BoxConfig,
@@ -139,15 +140,19 @@ class ComponentCensus:
 def component_census(boxes, level: int | None = None, tree: BracketTree | None = None) -> ComponentCensus:
     """Census of strata, truncated at ``level`` or untruncated when it is None.
 
-    The truncation uses the left-comb budget by default.  ``total_dim`` adds
+    The truncation uses the left-comb budget by default.  The search lists only
+    matches whose finished operations fit the level, and
+    ``satisfies_truncation`` decides on each of them.  ``total_dim`` adds
     mu+1 per stratum, which is the dimension of the module the census indexes.
     """
     boxes = BoxConfig.coerce(boxes)
     if level is not None:
         level = check_alcove(boxes.sizes, level)
     tree = resolve_tree(tree, boxes.count)
-    matches = enumerate_lcm(boxes)
-    if level is not None:
+    if level is None:
+        matches = enumerate_lcm(boxes)
+    else:
+        matches = enumerate_lcm(boxes, search_budget(boxes.sizes, level, tree))
         matches = [m for m in matches if satisfies_truncation(m, level, tree)]
     per_mu: dict[int, int] = {}
     for m in matches:

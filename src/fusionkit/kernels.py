@@ -7,6 +7,12 @@ innermost open arc (only onto a different box), or open a new arc.  Every
 complete walk with an empty stack is a valid lower crossingless match.
 Results are cached: enumeration is pure and canonical.
 
+A search given a level budget also counts, as it passes the last vertex of a
+box, the curves of every budgeted tensor operation whose scope ends in that
+box (see :func:`load`), and drops the prefix when a count exceeds the level.
+Arcs opened later never join two vertices of such a scope, so the count on
+the prefix is final.
+
 Two caps refuse work before the search starts: ``MAX_VERTICES`` bounds the
 recursion depth, and ``MAX_MATCHES`` bounds the size of the result, counted
 beforehand by a Clebsch-Gordan fold.
@@ -27,14 +33,10 @@ def _match_count(sizes: list[int]) -> int:
 
     Each summand is labelled by exactly one lower crossingless match.
     """
-    mult = {0: 1}
-    for w in sizes:
-        folded: dict[int, int] = {}
-        for k, c in mult.items():
-            for j in range(abs(k - w), k + w + 1, 2):
-                folded[j] = folded.get(j, 0) + c
-        mult = folded
-    return sum(mult.values())
+    # Imported here: ring imports bracketing, which imports this module.
+    from .ring import tensor_many
+
+    return sum(c for _, c in tensor_many(sizes).items())
 
 
 @lru_cache(maxsize=None)
@@ -48,12 +50,40 @@ def layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(box), tuple(prefix)
 
 
+def load(sizes: tuple[int, ...], arcs, scopes) -> int:
+    """The largest count of curves over ``scopes`` (0 for none), as in ``bracketing``.
+
+    Each scope is ``(S lo, A hi, B lo, S hi)`` in box indices, for a tensor
+    operation with sides A and B and scope S = A u B.
+    """
+    box, prefix = layout(sizes)
+    arc_boxes = [(box[p], box[q]) for p, q in arcs]
+    result = 0
+    for slo, ahi, blo, shi in scopes:
+        # Every vertex of S counts once, less one for an arc inside S (its two
+        # ends are one curve) and one more if that arc stays inside A or B.
+        count = prefix[shi] - prefix[slo - 1]
+        for bp, bq in arc_boxes:
+            if slo <= bp and bq <= shi:
+                count -= 2 if bq <= ahi or bp >= blo else 1
+        if count > result:
+            result = count
+    return result
+
+
 @lru_cache(maxsize=None)
-def enumerate_arc_sets(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+def enumerate_arc_sets(
+    sizes: tuple[int, ...], budget: tuple[int, tuple[tuple[int, int, int, int], ...]] | None = None
+) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All valid arc sets on the vertex line of ``sizes``, canonically ordered.
 
     Arcs are pairs ``(p, q)`` of 1-based vertex positions with ``p < q``.  The
     result is sorted lexicographically on the arc tuples, empty set first.
+
+    ``budget`` is ``(level, scopes)``, each scope ``(S lo, A hi, B lo, S hi)``
+    in box indices as in ``bracketing``.  Only the arc sets that fit the level
+    at every given scope are kept, a sub-list of the full result.  The caps
+    apply to the full result either way.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 0 for s in sizes):
@@ -65,7 +95,14 @@ def enumerate_arc_sets(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], .
     if count > MAX_MATCHES:
         raise ValueError(f"enumeration supports at most {MAX_MATCHES} matches, got {count}")
 
-    box_of, _ = layout(tuple(sizes))
+    key = tuple(sizes)
+    box_of, prefix = layout(key)
+    # The scopes to count on reaching each vertex: those whose last vertex precedes it.
+    due: dict[int, list[tuple[int, int, int, int]]] = {}
+    if budget is not None:
+        level, scopes = budget
+        for scope in scopes:
+            due.setdefault(prefix[scope[3]] + 1, []).append(scope)
 
     out: list[tuple[tuple[int, int], ...]] = []
     stack: list[int] = []
@@ -79,15 +116,22 @@ def enumerate_arc_sets(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], .
         if len(stack) > w - pos + 1:
             return
         if not stack:
-            search(pos + 1)
+            step(pos + 1)
         if stack and box_of[stack[-1]] != box_of[pos]:
             arcs.append((stack.pop(), pos))
-            search(pos + 1)
+            step(pos + 1)
             stack.append(arcs.pop()[0])
         stack.append(pos)
-        search(pos + 1)
+        step(pos + 1)
         stack.pop()
 
-    search(1)
+    def pruned(pos: int) -> None:
+        if pos in due and load(key, arcs, due[pos]) > level:
+            return
+        search(pos)
+
+    # Without a budget the search recurses into itself and counts nothing.
+    step = search if budget is None else pruned
+    step(1)
     out.sort()
     return tuple(out)

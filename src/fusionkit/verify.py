@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 from . import bracketing, diagrams, geometry, module_action, ring
 from .bracketing import BracketTree
@@ -43,12 +44,17 @@ class PropertyResult:
     def passed(self) -> bool:
         return self.failure_count == 0
 
-    def check(self, ok: bool, detail: str = "") -> None:
+    def check(self, ok: bool, detail: Callable[[], str]) -> None:
+        """Count one case; on failure record the counterexample text ``detail()``.
+
+        ``detail`` is called only for a recorded failure, so passing cases
+        format nothing.
+        """
         self.cases += 1
         if not ok:
             self.failure_count += 1
             if len(self.failures) < MAX_COUNTEREXAMPLES:
-                self.failures.append(detail)
+                self.failures.append(detail())
 
 
 def _box_configs(max_rank: int, max_weight: int):
@@ -68,7 +74,7 @@ def _ring_cg_total_dimension(bounds: Bounds) -> PropertyResult:
     for i in range(13):
         for j in range(13):
             got = ring.tensor_cg(i, j).total_dim()
-            res.check(got == (i + 1) * (j + 1), f"i={i} j={j}: total dim {got}")
+            res.check(got == (i + 1) * (j + 1), lambda: f"i={i} j={j}: total dim {got}")
     return res
 
 
@@ -82,7 +88,7 @@ def _ring_fuse_is_truncated_cg(bounds: Bounds) -> PropertyResult:
                     {k: c for k, c in ring.tensor_cg(i, j).items() if k <= top}
                 )
                 got = ring.fuse_pair(i, j, level)
-                res.check(got == expected, f"i={i} j={j} l={level}: {got.coeffs}")
+                res.check(got == expected, lambda: f"i={i} j={j} l={level}: {got.coeffs}")
     return res
 
 
@@ -98,7 +104,8 @@ def _ring_fusion_quotient_identity(bounds: Bounds) -> PropertyResult:
                 fused = ring.fuse_pair(i, j, level)
                 res.check(
                     reduced == fused,
-                    f"i={i} j={j} l={level}: reduced {reduced.coeffs} != fused {fused.coeffs}",
+                    lambda: f"i={i} j={j} l={level}: "
+                    f"reduced {reduced.coeffs} != fused {fused.coeffs}",
                 )
     return res
 
@@ -109,7 +116,7 @@ def _ring_quotient_reflection(bounds: Bounds) -> PropertyResult:
         for m in range(1, level + 2):
             got = ring.quotient_reduce(ring.RingElement.simple(level + 1 + m), level)
             expected = ring.RingElement({level + 1 - m: -1})
-            res.check(got == expected, f"l={level} m={m}: {got.coeffs}")
+            res.check(got == expected, lambda: f"l={level} m={m}: {got.coeffs}")
     return res
 
 
@@ -123,7 +130,7 @@ def _ring_bracketing_independence(bounds: Bounds) -> PropertyResult:
                 results = {ring.fuse_many(ws, level, t) for t in trees}
                 res.check(
                     len(results) == 1,
-                    f"ws={ws} l={level}: {len(results)} distinct results across trees",
+                    lambda: f"ws={ws} l={level}: {len(results)} distinct results across trees",
                 )
     return res
 
@@ -135,7 +142,7 @@ def _ring_generator_assoc_comm(bounds: Bounds) -> PropertyResult:
         left = ring.ring_mul(ring.ring_mul(simples[i], simples[j]), simples[k])
         right = ring.ring_mul(simples[i], ring.ring_mul(simples[j], simples[k]))
         comm = ring.ring_mul(simples[j], simples[i]) == ring.ring_mul(simples[i], simples[j])
-        res.check(left == right and comm, f"i={i} j={j} k={k}")
+        res.check(left == right and comm, lambda: f"i={i} j={j} k={k}")
     return res
 
 
@@ -152,7 +159,9 @@ def _matches_cm_count_equals_hom_dim(bounds: Bounds) -> PropertyResult:
         for mu in range(sum(ws) + 1):
             got = counts.get(mu, 0)
             expected = product.coeff(mu)
-            res.check(got == expected, f"ws={ws} mu={mu}: {got} matches, hom dim {expected}")
+            res.check(
+                got == expected, lambda: f"ws={ws} mu={mu}: {got} matches, hom dim {expected}"
+            )
     return res
 
 
@@ -163,7 +172,7 @@ def _matches_oriented_total_dimension(bounds: Bounds) -> PropertyResult:
         expected = 1
         for w in ws:
             expected *= w + 1
-        res.check(total == expected, f"ws={ws}: oriented total {total} != {expected}")
+        res.check(total == expected, lambda: f"ws={ws}: oriented total {total} != {expected}")
     return res
 
 
@@ -175,7 +184,7 @@ def _matches_weight_census(bounds: Bounds) -> PropertyResult:
             for o in diagrams.orientations(m):
                 census[o.weight] = census.get(o.weight, 0) + 1
         expected = ring.weight_multiplicities(ring.tensor_many(ws))
-        res.check(census == expected, f"ws={ws}: census {census} != {expected}")
+        res.check(census == expected, lambda: f"ws={ws}: census {census} != {expected}")
     return res
 
 
@@ -222,7 +231,7 @@ def _matches_brute_force_equivalence(bounds: Bounds) -> PropertyResult:
             arcs for arcs in _unit_box_matchings(boxes.total) if diagrams.validate(boxes, arcs)
         ]
         fast = [m.arcs for m in diagrams.enumerate_lcm(boxes)]
-        res.check(brute == fast, f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}")
+        res.check(brute == fast, lambda: f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}")
     return res
 
 
@@ -234,7 +243,7 @@ def _matches_no_nested_unmatched(bounds: Bounds) -> PropertyResult:
                 p < u < q for u in m.unmatched() for p, q in m.arcs
             )
             valid = diagrams.validate(m.boxes, m.arcs)
-            res.check(not nested and valid, f"ws={ws} arcs={m.arcs}")
+            res.check(not nested and valid, lambda: f"ws={ws} arcs={m.arcs}")
     return res
 
 
@@ -251,7 +260,7 @@ def _bracketing_count_equals_fusion_dim(bounds: Bounds) -> PropertyResult:
                 expected = fused.coeff(mu)
                 res.check(
                     got == expected,
-                    f"ws={ws} mu={mu} l={level}: counted {got}, fusion dim {expected}",
+                    lambda: f"ws={ws} mu={mu} l={level}: counted {got}, fusion dim {expected}",
                 )
     return res
 
@@ -266,7 +275,7 @@ def _bracketing_count_independent_of_tree(bounds: Bounds) -> PropertyResult:
                     counts = {bracketing.count_truncated(ws, mu, level, t) for t in trees}
                     res.check(
                         len(counts) == 1,
-                        f"ws={ws} mu={mu} l={level}: counts {sorted(counts)} differ",
+                        lambda: f"ws={ws} mu={mu} l={level}: counts {sorted(counts)} differ",
                     )
     return res
 
@@ -282,7 +291,7 @@ def _bracketing_pair_closed_form(bounds: Bounds) -> PropertyResult:
                     expected = m.mu <= 2 * level - w1 - w2
                     res.check(
                         got == expected,
-                        f"ws=({w1},{w2}) arcs={m.arcs} l={level}: {got} vs {expected}",
+                        lambda: f"ws=({w1},{w2}) arcs={m.arcs} l={level}: {got} vs {expected}",
                     )
     return res
 
@@ -299,7 +308,7 @@ def _bracketing_level_monotonicity(bounds: Bounds) -> PropertyResult:
             for level, lower, higher in zip(itertools.count(1), passes, passes[1:]):
                 res.check(
                     higher or not lower,
-                    f"ws={ws} arcs={m.arcs}: passes l={level} but not l={level + 1}",
+                    lambda: f"ws={ws} arcs={m.arcs}: passes l={level} but not l={level + 1}",
                 )
     return res
 
@@ -348,7 +357,7 @@ def _bracketing_stratified_no_cross(bounds: Bounds) -> PropertyResult:
                 formula_b = bracketing.rb_count(w1, w2, w3, level, n)
                 res.check(
                     got_a == formula_a and got_b == formula_b,
-                    f"ws={ws} l={level} n={n}: enumerated ({got_a},{got_b}) "
+                    lambda: f"ws={ws} l={level} n={n}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
     return res
@@ -367,7 +376,7 @@ def _bracketing_stratified_with_cross(bounds: Bounds) -> PropertyResult:
                 formula_b = bracketing.rb_count_c(w1, w2, w3, level, c)
                 res.check(
                     got_a == formula_a and got_b == formula_b,
-                    f"ws={ws} l={level} c={c}: enumerated ({got_a},{got_b}) "
+                    lambda: f"ws={ws} l={level} c={c}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
     return res
@@ -381,11 +390,11 @@ def _bracketing_ra_equals_rb(bounds: Bounds) -> PropertyResult:
             for n in range(sum(ws) // 2 + 1):
                 a = bracketing.ra_count(w1, w2, w3, level, n)
                 b = bracketing.rb_count(w1, w2, w3, level, n)
-                res.check(a == b, f"ws={ws} l={level} n={n}: ra={a} rb={b}")
+                res.check(a == b, lambda: f"ws={ws} l={level} n={n}: ra={a} rb={b}")
             for c in range(1, min(w1, w3) + 1):
                 a = bracketing.ra_count_c(w1, w2, w3, level, c)
                 b = bracketing.rb_count_c(w1, w2, w3, level, c)
-                res.check(a == b, f"ws={ws} l={level} c={c}: ra_c={a} rb_c={b}")
+                res.check(a == b, lambda: f"ws={ws} l={level} c={c}: ra_c={a} rb_c={b}")
     return res
 
 
@@ -402,7 +411,7 @@ def _module_sl2_relations(bounds: Bounds) -> PropertyResult:
     res = PropertyResult("module", "sl2_relations")
     for ws, level, basis in _module_sweep(bounds):
         ok = module_action.verify_sl2(module_action.action_matrices(basis))
-        res.check(ok, f"ws={ws} l={level}: commutation relations fail")
+        res.check(ok, lambda: f"ws={ws} l={level}: commutation relations fail")
     return res
 
 
@@ -411,7 +420,7 @@ def _module_isotypic_equals_fusion(bounds: Bounds) -> PropertyResult:
     for ws, level, basis in _module_sweep(bounds):
         got = module_action.isotypic_census(basis)
         expected = ring.fuse_many(ws, level).coeffs
-        res.check(got == expected, f"ws={ws} l={level}: census {got} != {expected}")
+        res.check(got == expected, lambda: f"ws={ws} l={level}: census {got} != {expected}")
     return res
 
 
@@ -419,7 +428,9 @@ def _module_dimension_matches(bounds: Bounds) -> PropertyResult:
     res = PropertyResult("module", "dimension_matches_fusion")
     for ws, level, basis in _module_sweep(bounds):
         expected = ring.fuse_many(ws, level).total_dim()
-        res.check(basis.dim == expected, f"ws={ws} l={level}: dim {basis.dim} != {expected}")
+        res.check(
+            basis.dim == expected, lambda: f"ws={ws} l={level}: dim {basis.dim} != {expected}"
+        )
     return res
 
 
@@ -430,7 +441,7 @@ def _module_h_weights_match(bounds: Bounds) -> PropertyResult:
         for o in basis.elements:
             census[o.weight] = census.get(o.weight, 0) + 1
         expected = ring.weight_multiplicities(ring.fuse_many(ws, level))
-        res.check(census == expected, f"ws={ws} l={level}: {census} != {expected}")
+        res.check(census == expected, lambda: f"ws={ws} l={level}: {census} != {expected}")
     return res
 
 
@@ -453,7 +464,7 @@ def _geometry_nl_equiv_budget(bounds: Bounds) -> PropertyResult:
                 expected = load <= level
                 res.check(
                     got == expected,
-                    f"ws={ws} arcs={m.arcs} l={level}: nl={got} budget={expected}",
+                    lambda: f"ws={ws} arcs={m.arcs} l={level}: nl={got} budget={expected}",
                 )
     return res
 
@@ -465,7 +476,7 @@ def _geometry_census_matches_fusion(bounds: Bounds) -> PropertyResult:
             census = geometry.component_census(ws, level)
             fused = ring.fuse_many(ws, level)
             ok = census.total_dim == fused.total_dim() and census.per_mu == fused.coeffs
-            res.check(ok, f"ws={ws} l={level}: census {census.per_mu} vs {fused.coeffs}")
+            res.check(ok, lambda: f"ws={ws} l={level}: census {census.per_mu} vs {fused.coeffs}")
     return res
 
 
@@ -478,7 +489,7 @@ def _geometry_untruncated_dim_product(bounds: Bounds) -> PropertyResult:
             expected *= w + 1
         res.check(
             census.total_dim == expected,
-            f"ws={ws}: total dim {census.total_dim} != {expected}",
+            lambda: f"ws={ws}: total dim {census.total_dim} != {expected}",
         )
     return res
 
@@ -494,7 +505,7 @@ def _geometry_dim_formulas(bounds: Bounds) -> PropertyResult:
                 and dm == geometry.dim_m(w - v, w)
                 and geometry.dim_z(v, v, w) == dm
             )
-            res.check(ok, f"v={v} w={w}")
+            res.check(ok, lambda: f"v={v} w={w}")
     return res
 
 
@@ -512,7 +523,7 @@ def _geometry_pair_highest_weight_window(bounds: Bounds) -> PropertyResult:
                     got = census.per_mu.get(mu, 0)
                     res.check(
                         got == (1 if inside else 0),
-                        f"w1={w1} w2={w2} l={level} mu={mu}: count {got}",
+                        lambda: f"w1={w1} w2={w2} l={level} mu={mu}: count {got}",
                     )
     return res
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import bracketing, verify
+from fusionkit import bracketing, kernels, verify
 from fusionkit.bracketing import (
     BracketTree,
     budget_load,
@@ -22,8 +22,10 @@ from fusionkit.bracketing import (
     rb_count_c,
     resolve_tree,
     satisfies_truncation,
+    search_budget,
 )
 from fusionkit.diagrams import LowerMatch, enumerate_lcm, orientations
+from fusionkit.geometry import component_census
 from fusionkit.module_action import build_basis
 from fusionkit.ring import dim_hom_fusion
 
@@ -332,6 +334,86 @@ def test_count_truncated_independent_of_tree():
             for mu in range(sum(ws) + 1):
                 counts = {count_truncated(ws, mu, level, t) for t in enumerate_trees(3)}
                 assert len(counts) == 1, (ws, level, mu)
+
+
+# ------------------------------------------------------------ pruned search
+
+
+def _oracle_passing(sizes, tree, level) -> list:
+    """The untruncated enumeration filtered by its budget loads, in canonical order."""
+    loads = budget_loads(sizes, tree)
+    return [a for a, load in zip(kernels.enumerate_arc_sets(sizes), loads) if load <= level]
+
+
+def _assert_pruned_search_agrees_with_oracle(sizes, tree, level):
+    full = kernels.enumerate_arc_sets(sizes)
+    passing = _oracle_passing(sizes, tree, level)
+    budget = search_budget(sizes, level, tree)
+    candidates = enumerate_lcm(sizes, budget)
+    arcs = [m.arcs for m in candidates]
+    # Sound: a sub-list of the full enumeration holding every passing arc set.
+    assert set(passing) <= set(arcs), (sizes, tree, level)
+    assert arcs == [a for a in full if a in set(arcs)], (sizes, tree, level)
+    assert len(set(arcs)) == len(arcs)
+    # Exact after the per-match verdict.
+    kept = [m.arcs for m in candidates if satisfies_truncation(m, level, tree)]
+    assert kept == passing, (sizes, tree, level)
+    # Given every scope, the root included, the kernel itself is exact.
+    assert list(kernels.enumerate_arc_sets(sizes, (level, tree._flat_scopes))) == passing
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sizes_and_tree())
+def test_pruned_search_agrees_with_enumerate_then_filter(case):
+    sizes, tree = case
+    for level in range(1, max(budget_loads(sizes, tree)) + 2):
+        _assert_pruned_search_agrees_with_oracle(sizes, tree, level)
+
+
+def test_pruned_search_agrees_with_enumerate_then_filter_exhaustively():
+    for r in range(1, 5):
+        trees = enumerate_trees(r)
+        for sizes in itertools.product(range(0, 4), repeat=r):
+            if sum(sizes) > 9:
+                continue
+            for tree in trees:
+                for level in range(1, max(budget_loads(sizes, tree)) + 2):
+                    _assert_pruned_search_agrees_with_oracle(sizes, tree, level)
+
+
+def test_search_budget_keeps_only_operations_that_can_fail_early():
+    left = BracketTree.left_comb(3)
+    # (12) spans four vertices and ends at vertex 4 of 6; the root is left out.
+    assert search_budget((2, 2, 2), 1, left) == (1, ((1, 1, 2, 2),))
+    # At level 4 the four vertices of (12) always fit.
+    assert search_budget((2, 2, 2), 4, left) is None
+    # Every operation of a right comb ends at the last vertex.
+    assert search_budget((2, 2, 2), 1, BracketTree.right_comb(3)) is None
+    # A trailing empty box moves no vertex: (12) still ends at the last one.
+    assert search_budget((2, 2, 0), 1, left) is None
+
+
+def test_pruned_search_builds_few_candidates_for_the_reference_query():
+    sizes = (4,) * 8
+    budget = search_budget(sizes, 6, BracketTree.left_comb(8))
+    candidates = kernels.enumerate_arc_sets(sizes, budget)
+    # 38,165 arc sets in all, of which 577 pass the budget.
+    assert 577 <= len(candidates) <= 887
+    assert component_census(sizes, 6).total_components == 577
+
+
+def test_untruncated_callers_share_one_kernel_cache_entry_per_box_tuple():
+    kernels.enumerate_arc_sets.cache_clear()
+    budget_loads.cache_clear()
+    configs = [(2, 2), (1, 2, 1), (2, 1, 2, 1), (3, 0, 2)]
+    for n, ws in enumerate(configs, start=1):
+        tree = BracketTree.left_comb(len(ws))
+        component_census(ws, None)
+        enumerate_lcm(ws)
+        budget_loads(ws, tree)
+        # A truncated census whose operations all end at the last vertex.
+        component_census(ws, max(ws), BracketTree.right_comb(len(ws)))
+        assert kernels.enumerate_arc_sets.cache_info().currsize == n, ws
 
 
 # ----------------------------------------------------------- closed-form counts

@@ -435,6 +435,26 @@ SHARED_DEFAULTS_DIGESTS = [
      "c242c0e02bcf6bf3ddbfeb8ac28f24f13c107e15fbba0ec840fd3aa6ce59df70"),
 ]
 
+# sha256 digests recorded before the truncated search learned to prune at each
+# operation's last box: queries where an operation ends before the last vertex
+# (only one does in the last listing), and the cap's refusal on a truncated
+# query.
+PRUNED_SEARCH_DIGESTS = [
+    (("components", "-b", "4,4,4,4,4,4,4,4", "-l", "6", "-f", "json"), 0, "out",
+     "f4538ab9ae58635a1f11c78f72c818e76232d0350be4cd4f9538f8c80540211c"),
+    (("components", "-b", "3,3,3,3,3,3,3,3", "-l", "5", "-s", "(((12)(34))(((56)7)8))",
+      "-f", "json"), 0, "out",
+     "d18b42986ebe2a820b9fad833299805ee4594b76eb95887c7daa47ee76707cb3"),
+    (("matches", "-b", "3,1,2,4,4", "-l", "7", "-s", "((1(2(34)))5)", "--oriented"), 0, "out",
+     "015822ce2617dcde17006dfba8cde672d318568ccffccf9c98754b9629cf6730"),
+    (("matches", "-b", "2,2,2,2,2,2", "-l", "3", "-m", "2"), 0, "out",
+     "5d88e8a6a568bf31e2f2afc38dc2451781a7599c67032f030aa1b7d94d8fcbc2"),
+    (("components", "-b", "4,4,3,2,2,3,1", "-l", "5", "-s", "(1(2(3(4((56)7)))))"), 0, "out",
+     "1607e1d927f66b28f45b3dafff4603d76709617d159164e0e22239e23ccf4c90"),
+    (("matches", "-b", ",".join(["4"] * 16), "-l", "4"), 1, "err",
+     "ccc00736ecc0ac55a4a2e274422db40c315b05ac57a9c8d7d580e4e0f4044f52"),
+]
+
 
 def _assert_digests(capsys, cases):
     for argv, expected_code, stream, digest in cases:
@@ -450,3 +470,7 @@ def test_outputs_match_parent_digests(capsys):
 
 def test_truncated_and_bracketed_outputs_match_parent_digests(capsys):
     _assert_digests(capsys, SHARED_DEFAULTS_DIGESTS)
+
+
+def test_pruned_truncated_outputs_match_parent_digests(capsys):
+    _assert_digests(capsys, PRUNED_SEARCH_DIGESTS)
