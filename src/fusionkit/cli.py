@@ -94,14 +94,13 @@ def cmd_matches(args) -> int:
     if args.level is None:
         found = diagrams.enumerate_lcm(boxes)
     else:
+        # The alcove is checked first, so its error wins over a bad --bracketing.
         bracketing.check_alcove(boxes.sizes, args.level)
-        tree = bracketing.resolve_tree(_tree_for(args.bracketing, boxes.count), boxes.count)
-        budget = bracketing.search_budget(boxes.sizes, args.level, tree)
-        found = diagrams.enumerate_lcm(boxes, budget)
+        found = geometry.truncated_matches(
+            boxes, args.level, _tree_for(args.bracketing, boxes.count)
+        )
     if args.mu is not None:
         found = [m for m in found if m.mu == args.mu]
-    if args.level is not None:
-        found = [m for m in found if bracketing.satisfies_truncation(m, args.level, tree)]
     if args.oriented:
         oriented = [o for m in found for o in diagrams.orientations(m)]
         if args.format == "json":

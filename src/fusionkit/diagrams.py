@@ -20,7 +20,6 @@ the highest weight of the irreducible summand the match labels.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import kernels
@@ -35,20 +34,28 @@ def _as_weight(value, what: str = "highest weight") -> int:
 
 @dataclass(frozen=True)
 class BoxConfig:
-    """An ordered list of box sizes (w1, ..., wr); boxes of size 0 are allowed."""
+    """An ordered list of box sizes (w1, ..., wr); boxes of size 0 are allowed.
+
+    At most ``kernels.MAX_VERTICES`` vertices in all: no match on more can be
+    enumerated, and refusing them here keeps a huge size from ever reaching a
+    vertex table or a drawing.
+    """
 
     sizes: tuple[int, ...]
-    _prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # (box of each vertex, prefix sums of sizes), shared with the kernel.
+    _layout: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(_as_weight(s, "box size") for s in self.sizes)
         if not sizes:
             raise ValueError("a box configuration needs at least one box")
-        prefix = [0]
-        for s in sizes:
-            prefix.append(prefix[-1] + s)
+        if sum(sizes) > kernels.MAX_VERTICES:
+            raise ValueError(
+                f"a box configuration holds at most {kernels.MAX_VERTICES} vertices, "
+                f"got {sum(sizes)}"
+            )
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "_prefix", tuple(prefix))
+        object.__setattr__(self, "_layout", kernels.layout(sizes))
 
     @classmethod
     def coerce(cls, value) -> "BoxConfig":
@@ -62,18 +69,19 @@ class BoxConfig:
 
     @property
     def total(self) -> int:
-        return self._prefix[-1]
+        return self._layout[1][-1]
 
     def box_of(self, vertex: int) -> int:
         """1-based index of the box containing the given 1-based vertex."""
         if not 1 <= vertex <= self.total:
             raise ValueError(f"vertex {vertex} out of range 1..{self.total}")
-        return bisect_left(self._prefix, vertex)
+        return self._layout[0][vertex]
 
     def vertices_of(self, box: int) -> range:
         if not 1 <= box <= self.count:
             raise ValueError(f"box {box} out of range 1..{self.count}")
-        return range(self._prefix[box - 1] + 1, self._prefix[box] + 1)
+        prefix = self._layout[1]
+        return range(prefix[box - 1] + 1, prefix[box] + 1)
 
 
 def _normalize_arcs(arcs) -> tuple[tuple[int, int], ...]:
@@ -295,7 +303,7 @@ def parse_canonical_key(key: str) -> LowerMatch:
     """Inverse of :func:`canonical_key`; raises ValueError on malformed keys."""
     try:
         sizes_part, _, arcs_part = key.partition("|")
-        boxes = BoxConfig(tuple(int(s) for s in sizes_part.split(",")))
+        sizes = tuple(_as_weight(int(s), "box size") for s in sizes_part.split(","))
         arcs = []
         if arcs_part:
             for chunk in arcs_part.split(","):
@@ -303,4 +311,5 @@ def parse_canonical_key(key: str) -> LowerMatch:
                 arcs.append((int(p), int(q)))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"malformed match key {key!r}") from exc
-    return LowerMatch(boxes, tuple(arcs))
+    # Outside the try: the vertex cap's message must reach the caller as it is.
+    return LowerMatch(BoxConfig(sizes), tuple(arcs))

@@ -137,23 +137,32 @@ class ComponentCensus:
         return census
 
 
+def truncated_matches(boxes, level, tree: BracketTree | None = None) -> list[LowerMatch]:
+    """The matches that fit the level budget of ``tree`` (the left comb by default).
+
+    The search lists only matches whose finished operations fit the level,
+    and ``satisfies_truncation`` decides on each of them.  The order is
+    canonical.
+    """
+    boxes = BoxConfig.coerce(boxes)
+    level = check_alcove(boxes.sizes, level)
+    tree = resolve_tree(tree, boxes.count)
+    matches = enumerate_lcm(boxes, search_budget(boxes.sizes, level, tree))
+    return [m for m in matches if satisfies_truncation(m, level, tree)]
+
+
 def component_census(boxes, level: int | None = None, tree: BracketTree | None = None) -> ComponentCensus:
     """Census of strata, truncated at ``level`` or untruncated when it is None.
 
-    The truncation uses the left-comb budget by default.  The search lists only
-    matches whose finished operations fit the level, and
-    ``satisfies_truncation`` decides on each of them.  ``total_dim`` adds
-    mu+1 per stratum, which is the dimension of the module the census indexes.
+    The truncation is :func:`truncated_matches`.  ``total_dim`` adds mu+1 per
+    stratum, which is the dimension of the module the census indexes.
     """
     boxes = BoxConfig.coerce(boxes)
-    if level is not None:
-        level = check_alcove(boxes.sizes, level)
-    tree = resolve_tree(tree, boxes.count)
     if level is None:
+        resolve_tree(tree, boxes.count)  # a tree that does not fit is refused either way
         matches = enumerate_lcm(boxes)
     else:
-        matches = enumerate_lcm(boxes, search_budget(boxes.sizes, level, tree))
-        matches = [m for m in matches if satisfies_truncation(m, level, tree)]
+        matches = truncated_matches(boxes, level, tree)
     per_mu: dict[int, int] = {}
     for m in matches:
         per_mu[m.mu] = per_mu.get(m.mu, 0) + 1

@@ -1,10 +1,11 @@
 """Batch verification sweeps behind the ``verify`` CLI subcommand.
 
 Every property is an exhaustive exact check over a bounded sweep; bounds come
-from the CLI flags.  A property returns its case count and the first few
-counterexamples verbatim, so a failing sweep points straight at the offending
-configuration.  Properties run in declaration order on one thread, so the
-report is in a fixed order.
+from the CLI flags.  Each is declared once, as a generator of ``(ok, detail)``
+cases under ``@_property(suite, name)``, which registers it in ``SUITES``.  A
+property returns its case count and the first few counterexamples verbatim, so
+a failing sweep points straight at the offending configuration.  Properties
+run in declaration order on one thread, so the report is in a fixed order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import bracketing, diagrams, geometry, module_action, ring
 from .bracketing import BracketTree
@@ -57,6 +58,33 @@ class PropertyResult:
                 self.failures.append(detail())
 
 
+Cases = Iterator[tuple[bool, Callable[[], str]]]
+
+# suite -> its properties, in declaration order; filled by ``_property``.
+SUITES: dict[str, tuple[Callable[[Bounds], PropertyResult], ...]] = {}
+
+
+def _property(suite: str, name: str):
+    """Register a sweep of ``(ok, detail)`` cases as property ``name`` of ``suite``.
+
+    The registered callable runs the sweep at the given bounds and counts each
+    case through :meth:`PropertyResult.check`, while the sweep is paused at
+    that case, so ``detail`` still sees the case's loop variables.
+    """
+
+    def register(sweep: Callable[[Bounds], Cases]) -> Callable[[Bounds], PropertyResult]:
+        def run(bounds: Bounds) -> PropertyResult:
+            res = PropertyResult(suite, name)
+            for ok, detail in sweep(bounds):
+                res.check(ok, detail)
+            return res
+
+        SUITES[suite] = SUITES.get(suite, ()) + (run,)
+        return run
+
+    return register
+
+
 def _box_configs(max_rank: int, max_weight: int):
     for r in range(1, max_rank + 1):
         yield from itertools.product(range(1, max_weight + 1), repeat=r)
@@ -69,17 +97,16 @@ def _levels(ws, bounds: Bounds):
 # ---------------------------------------------------------------- ring suite
 
 
-def _ring_cg_total_dimension(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("ring", "cg_total_dimension")
+@_property("ring", "cg_total_dimension")
+def _ring_cg_total_dimension(bounds: Bounds) -> Cases:
     for i in range(13):
         for j in range(13):
             got = ring.tensor_cg(i, j).total_dim()
-            res.check(got == (i + 1) * (j + 1), lambda: f"i={i} j={j}: total dim {got}")
-    return res
+            yield got == (i + 1) * (j + 1), lambda: f"i={i} j={j}: total dim {got}"
 
 
-def _ring_fuse_is_truncated_cg(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("ring", "fuse_is_truncated_cg")
+@_property("ring", "fuse_is_truncated_cg")
+def _ring_fuse_is_truncated_cg(bounds: Bounds) -> Cases:
     for level in range(1, bounds.max_level + 1):
         for i in range(level + 1):
             for j in range(level + 1):
@@ -88,12 +115,11 @@ def _ring_fuse_is_truncated_cg(bounds: Bounds) -> PropertyResult:
                     {k: c for k, c in ring.tensor_cg(i, j).items() if k <= top}
                 )
                 got = ring.fuse_pair(i, j, level)
-                res.check(got == expected, lambda: f"i={i} j={j} l={level}: {got.coeffs}")
-    return res
+                yield got == expected, lambda: f"i={i} j={j} l={level}: {got.coeffs}"
 
 
-def _ring_fusion_quotient_identity(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("ring", "fusion_quotient_identity")
+@_property("ring", "fusion_quotient_identity")
+def _ring_fusion_quotient_identity(bounds: Bounds) -> Cases:
     for level in range(1, bounds.max_level + 1):
         for i in range(1, level + 1):
             for j in range(1, level + 1):
@@ -102,55 +128,51 @@ def _ring_fusion_quotient_identity(bounds: Bounds) -> PropertyResult:
                     level,
                 )
                 fused = ring.fuse_pair(i, j, level)
-                res.check(
+                yield (
                     reduced == fused,
                     lambda: f"i={i} j={j} l={level}: "
                     f"reduced {reduced.coeffs} != fused {fused.coeffs}",
                 )
-    return res
 
 
-def _ring_quotient_reflection(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("ring", "quotient_reflection")
+@_property("ring", "quotient_reflection")
+def _ring_quotient_reflection(bounds: Bounds) -> Cases:
     for level in range(1, bounds.max_level + 1):
         for m in range(1, level + 2):
             got = ring.quotient_reduce(ring.RingElement.simple(level + 1 + m), level)
             expected = ring.RingElement({level + 1 - m: -1})
-            res.check(got == expected, lambda: f"l={level} m={m}: {got.coeffs}")
-    return res
+            yield got == expected, lambda: f"l={level} m={m}: {got.coeffs}"
 
 
-def _ring_bracketing_independence(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("ring", "fuse_many_bracketing_independent")
+@_property("ring", "fuse_many_bracketing_independent")
+def _ring_bracketing_independence(bounds: Bounds) -> Cases:
     for r in range(2, min(bounds.max_rank, 4) + 1):
         trees = bracketing.enumerate_trees(r)
         for level in range(1, bounds.max_level + 1):
             top_w = min(bounds.max_weight, level)
             for ws in itertools.product(range(1, top_w + 1), repeat=r):
                 results = {ring.fuse_many(ws, level, t) for t in trees}
-                res.check(
+                yield (
                     len(results) == 1,
                     lambda: f"ws={ws} l={level}: {len(results)} distinct results across trees",
                 )
-    return res
 
 
-def _ring_generator_assoc_comm(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("ring", "generator_assoc_comm")
+@_property("ring", "generator_assoc_comm")
+def _ring_generator_assoc_comm(bounds: Bounds) -> Cases:
     simples = [ring.RingElement.simple(i) for i in range(9)]
     for i, j, k in itertools.product(range(9), repeat=3):
         left = ring.ring_mul(ring.ring_mul(simples[i], simples[j]), simples[k])
         right = ring.ring_mul(simples[i], ring.ring_mul(simples[j], simples[k]))
         comm = ring.ring_mul(simples[j], simples[i]) == ring.ring_mul(simples[i], simples[j])
-        res.check(left == right and comm, lambda: f"i={i} j={j} k={k}")
-    return res
+        yield left == right and comm, lambda: f"i={i} j={j} k={k}"
 
 
 # ------------------------------------------------------------- matches suite
 
 
-def _matches_cm_count_equals_hom_dim(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("matches", "cm_count_equals_hom_dim")
+@_property("matches", "cm_count_equals_hom_dim")
+def _matches_cm_count_equals_hom_dim(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         counts: dict[int, int] = {}
         for m in diagrams.enumerate_lcm(ws):
@@ -159,33 +181,28 @@ def _matches_cm_count_equals_hom_dim(bounds: Bounds) -> PropertyResult:
         for mu in range(sum(ws) + 1):
             got = counts.get(mu, 0)
             expected = product.coeff(mu)
-            res.check(
-                got == expected, lambda: f"ws={ws} mu={mu}: {got} matches, hom dim {expected}"
-            )
-    return res
+            yield got == expected, lambda: f"ws={ws} mu={mu}: {got} matches, hom dim {expected}"
 
 
-def _matches_oriented_total_dimension(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("matches", "oriented_total_dimension")
+@_property("matches", "oriented_total_dimension")
+def _matches_oriented_total_dimension(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         total = sum(m.mu + 1 for m in diagrams.enumerate_lcm(ws))
         expected = 1
         for w in ws:
             expected *= w + 1
-        res.check(total == expected, lambda: f"ws={ws}: oriented total {total} != {expected}")
-    return res
+        yield total == expected, lambda: f"ws={ws}: oriented total {total} != {expected}"
 
 
-def _matches_weight_census(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("matches", "weight_census")
+@_property("matches", "weight_census")
+def _matches_weight_census(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         census: dict[int, int] = {}
         for m in diagrams.enumerate_lcm(ws):
             for o in diagrams.orientations(m):
                 census[o.weight] = census.get(o.weight, 0) + 1
         expected = ring.weight_multiplicities(ring.tensor_many(ws))
-        res.check(census == expected, lambda: f"ws={ws}: census {census} != {expected}")
-    return res
+        yield census == expected, lambda: f"ws={ws}: census {census} != {expected}"
 
 
 def _all_partial_matchings(n: int):
@@ -221,8 +238,8 @@ def _unit_box_matchings(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def _matches_brute_force_equivalence(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("matches", "brute_force_equivalence")
+@_property("matches", "brute_force_equivalence")
+def _matches_brute_force_equivalence(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         if sum(ws) > 10:
             continue
@@ -231,57 +248,53 @@ def _matches_brute_force_equivalence(bounds: Bounds) -> PropertyResult:
             arcs for arcs in _unit_box_matchings(boxes.total) if diagrams.validate(boxes, arcs)
         ]
         fast = [m.arcs for m in diagrams.enumerate_lcm(boxes)]
-        res.check(brute == fast, lambda: f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}")
-    return res
+        yield brute == fast, lambda: f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}"
 
 
-def _matches_no_nested_unmatched(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("matches", "no_nested_unmatched")
+@_property("matches", "no_nested_unmatched")
+def _matches_no_nested_unmatched(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         for m in diagrams.enumerate_lcm(ws):
             nested = any(
                 p < u < q for u in m.unmatched() for p, q in m.arcs
             )
             valid = diagrams.validate(m.boxes, m.arcs)
-            res.check(not nested and valid, lambda: f"ws={ws} arcs={m.arcs}")
-    return res
+            yield not nested and valid, lambda: f"ws={ws} arcs={m.arcs}"
 
 
 # ---------------------------------------------------------- bracketing suite
 
 
-def _bracketing_count_equals_fusion_dim(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("bracketing", "truncated_count_equals_fusion_dim")
+@_property("bracketing", "truncated_count_equals_fusion_dim")
+def _bracketing_count_equals_fusion_dim(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         for level in _levels(ws, bounds):
             fused = ring.fuse_many(ws, level)
             for mu in range(sum(ws) + 1):
                 got = bracketing.count_truncated(ws, mu, level)
                 expected = fused.coeff(mu)
-                res.check(
+                yield (
                     got == expected,
                     lambda: f"ws={ws} mu={mu} l={level}: counted {got}, fusion dim {expected}",
                 )
-    return res
 
 
-def _bracketing_count_independent_of_tree(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("bracketing", "count_independent_of_tree")
+@_property("bracketing", "count_independent_of_tree")
+def _bracketing_count_independent_of_tree(bounds: Bounds) -> Cases:
     for r in range(3, min(bounds.max_rank, 4) + 1):
         trees = bracketing.enumerate_trees(r)
         for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=r):
             for level in _levels(ws, bounds):
                 for mu in range(sum(ws) + 1):
                     counts = {bracketing.count_truncated(ws, mu, level, t) for t in trees}
-                    res.check(
+                    yield (
                         len(counts) == 1,
                         lambda: f"ws={ws} mu={mu} l={level}: counts {sorted(counts)} differ",
                     )
-    return res
 
 
-def _bracketing_pair_closed_form(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("bracketing", "pair_budget_closed_form")
+@_property("bracketing", "pair_budget_closed_form")
+def _bracketing_pair_closed_form(bounds: Bounds) -> Cases:
     pair = BracketTree.left_comb(2)
     for w1 in range(1, bounds.max_weight + 1):
         for w2 in range(1, bounds.max_weight + 1):
@@ -289,15 +302,14 @@ def _bracketing_pair_closed_form(bounds: Bounds) -> PropertyResult:
                 for m in diagrams.enumerate_lcm((w1, w2)):
                     got = bracketing.satisfies_truncation(m, level, pair)
                     expected = m.mu <= 2 * level - w1 - w2
-                    res.check(
+                    yield (
                         got == expected,
                         lambda: f"ws=({w1},{w2}) arcs={m.arcs} l={level}: {got} vs {expected}",
                     )
-    return res
 
 
-def _bracketing_level_monotonicity(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("bracketing", "level_monotonicity")
+@_property("bracketing", "level_monotonicity")
+def _bracketing_level_monotonicity(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         tree = BracketTree.left_comb(len(ws))
         for m in diagrams.enumerate_lcm(ws):
@@ -306,11 +318,10 @@ def _bracketing_level_monotonicity(bounds: Bounds) -> PropertyResult:
                 for level in range(1, bounds.max_level + 1)
             ]
             for level, lower, higher in zip(itertools.count(1), passes, passes[1:]):
-                res.check(
+                yield (
                     higher or not lower,
                     lambda: f"ws={ws} arcs={m.arcs}: passes l={level} but not l={level + 1}",
                 )
-    return res
 
 
 def _cross_and_lower_counts(m: diagrams.LowerMatch) -> tuple[int, int]:
@@ -344,8 +355,8 @@ def _stratified_counts(ws, level):
     return by_n, by_c
 
 
-def _bracketing_stratified_no_cross(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("bracketing", "stratified_no_cross_closed_form")
+@_property("bracketing", "stratified_no_cross_closed_form")
+def _bracketing_stratified_no_cross(bounds: Bounds) -> Cases:
     for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=3):
         w1, w2, w3 = ws
         for level in _levels(ws, bounds):
@@ -355,16 +366,15 @@ def _bracketing_stratified_no_cross(bounds: Bounds) -> PropertyResult:
                 got_b = by_n["s2"].get(n, 0)
                 formula_a = bracketing.ra_count(w1, w2, w3, level, n)
                 formula_b = bracketing.rb_count(w1, w2, w3, level, n)
-                res.check(
+                yield (
                     got_a == formula_a and got_b == formula_b,
                     lambda: f"ws={ws} l={level} n={n}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
-    return res
 
 
-def _bracketing_stratified_with_cross(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("bracketing", "stratified_cross_closed_form")
+@_property("bracketing", "stratified_cross_closed_form")
+def _bracketing_stratified_with_cross(bounds: Bounds) -> Cases:
     for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=3):
         w1, w2, w3 = ws
         for level in _levels(ws, bounds):
@@ -374,28 +384,26 @@ def _bracketing_stratified_with_cross(bounds: Bounds) -> PropertyResult:
                 got_b = by_c["s2"].get(c, 0)
                 formula_a = bracketing.ra_count_c(w1, w2, w3, level, c)
                 formula_b = bracketing.rb_count_c(w1, w2, w3, level, c)
-                res.check(
+                yield (
                     got_a == formula_a and got_b == formula_b,
                     lambda: f"ws={ws} l={level} c={c}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
-    return res
 
 
-def _bracketing_ra_equals_rb(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("bracketing", "ra_equals_rb")
+@_property("bracketing", "ra_equals_rb")
+def _bracketing_ra_equals_rb(bounds: Bounds) -> Cases:
     for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=3):
         w1, w2, w3 = ws
         for level in _levels(ws, bounds):
             for n in range(sum(ws) // 2 + 1):
                 a = bracketing.ra_count(w1, w2, w3, level, n)
                 b = bracketing.rb_count(w1, w2, w3, level, n)
-                res.check(a == b, lambda: f"ws={ws} l={level} n={n}: ra={a} rb={b}")
+                yield a == b, lambda: f"ws={ws} l={level} n={n}: ra={a} rb={b}"
             for c in range(1, min(w1, w3) + 1):
                 a = bracketing.ra_count_c(w1, w2, w3, level, c)
                 b = bracketing.rb_count_c(w1, w2, w3, level, c)
-                res.check(a == b, lambda: f"ws={ws} l={level} c={c}: ra_c={a} rb_c={b}")
-    return res
+                yield a == b, lambda: f"ws={ws} l={level} c={c}: ra_c={a} rb_c={b}"
 
 
 # -------------------------------------------------------------- module suite
@@ -407,52 +415,46 @@ def _module_sweep(bounds: Bounds):
             yield ws, level, module_action.build_basis(ws, level)
 
 
-def _module_sl2_relations(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("module", "sl2_relations")
+@_property("module", "sl2_relations")
+def _module_sl2_relations(bounds: Bounds) -> Cases:
     for ws, level, basis in _module_sweep(bounds):
         ok = module_action.verify_sl2(module_action.action_matrices(basis))
-        res.check(ok, lambda: f"ws={ws} l={level}: commutation relations fail")
-    return res
+        yield ok, lambda: f"ws={ws} l={level}: commutation relations fail"
 
 
-def _module_isotypic_equals_fusion(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("module", "isotypic_equals_fusion_coeffs")
+@_property("module", "isotypic_equals_fusion_coeffs")
+def _module_isotypic_equals_fusion(bounds: Bounds) -> Cases:
     for ws, level, basis in _module_sweep(bounds):
         got = module_action.isotypic_census(basis)
         expected = ring.fuse_many(ws, level).coeffs
-        res.check(got == expected, lambda: f"ws={ws} l={level}: census {got} != {expected}")
-    return res
+        yield got == expected, lambda: f"ws={ws} l={level}: census {got} != {expected}"
 
 
-def _module_dimension_matches(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("module", "dimension_matches_fusion")
+@_property("module", "dimension_matches_fusion")
+def _module_dimension_matches(bounds: Bounds) -> Cases:
     for ws, level, basis in _module_sweep(bounds):
         expected = ring.fuse_many(ws, level).total_dim()
-        res.check(
-            basis.dim == expected, lambda: f"ws={ws} l={level}: dim {basis.dim} != {expected}"
-        )
-    return res
+        yield basis.dim == expected, lambda: f"ws={ws} l={level}: dim {basis.dim} != {expected}"
 
 
-def _module_h_weights_match(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("module", "h_weight_census")
+@_property("module", "h_weight_census")
+def _module_h_weights_match(bounds: Bounds) -> Cases:
     for ws, level, basis in _module_sweep(bounds):
         census: dict[int, int] = {}
         for o in basis.elements:
             census[o.weight] = census.get(o.weight, 0) + 1
         expected = ring.weight_multiplicities(ring.fuse_many(ws, level))
-        res.check(census == expected, lambda: f"ws={ws} l={level}: {census} != {expected}")
-    return res
+        yield census == expected, lambda: f"ws={ws} l={level}: {census} != {expected}"
 
 
 # ------------------------------------------------------------ geometry suite
 
 
-def _geometry_nl_equiv_budget(bounds: Bounds) -> PropertyResult:
+@_property("geometry", "nl_equiv_budget")
+def _geometry_nl_equiv_budget(bounds: Bounds) -> Cases:
     # A single box has no tensor operation for the budget to constrain, while
     # the kernel inequality still enforces w1 <= l, so r = 1 is compared only
     # on levels the factor fits.
-    res = PropertyResult("geometry", "nl_equiv_budget")
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         tree = BracketTree.left_comb(len(ws))
         start_level = max(ws) if len(ws) == 1 else 1
@@ -462,40 +464,37 @@ def _geometry_nl_equiv_budget(bounds: Bounds) -> PropertyResult:
             for level in range(start_level, bounds.max_level + 1):
                 got = threshold <= level
                 expected = load <= level
-                res.check(
+                yield (
                     got == expected,
                     lambda: f"ws={ws} arcs={m.arcs} l={level}: nl={got} budget={expected}",
                 )
-    return res
 
 
-def _geometry_census_matches_fusion(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("geometry", "census_matches_fusion")
+@_property("geometry", "census_matches_fusion")
+def _geometry_census_matches_fusion(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         for level in _levels(ws, bounds):
             census = geometry.component_census(ws, level)
             fused = ring.fuse_many(ws, level)
             ok = census.total_dim == fused.total_dim() and census.per_mu == fused.coeffs
-            res.check(ok, lambda: f"ws={ws} l={level}: census {census.per_mu} vs {fused.coeffs}")
-    return res
+            yield ok, lambda: f"ws={ws} l={level}: census {census.per_mu} vs {fused.coeffs}"
 
 
-def _geometry_untruncated_dim_product(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("geometry", "untruncated_dim_product")
+@_property("geometry", "untruncated_dim_product")
+def _geometry_untruncated_dim_product(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         census = geometry.component_census(ws, None)
         expected = 1
         for w in ws:
             expected *= w + 1
-        res.check(
+        yield (
             census.total_dim == expected,
             lambda: f"ws={ws}: total dim {census.total_dim} != {expected}",
         )
-    return res
 
 
-def _geometry_dim_formulas(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("geometry", "dim_formulas")
+@_property("geometry", "dim_formulas")
+def _geometry_dim_formulas(bounds: Bounds) -> Cases:
     for w in range(21):
         for v in range(w + 1):
             dm = geometry.dim_m(v, w)
@@ -505,12 +504,11 @@ def _geometry_dim_formulas(bounds: Bounds) -> PropertyResult:
                 and dm == geometry.dim_m(w - v, w)
                 and geometry.dim_z(v, v, w) == dm
             )
-            res.check(ok, lambda: f"v={v} w={w}")
-    return res
+            yield ok, lambda: f"v={v} w={w}"
 
 
-def _geometry_pair_highest_weight_window(bounds: Bounds) -> PropertyResult:
-    res = PropertyResult("geometry", "pair_highest_weight_window")
+@_property("geometry", "pair_highest_weight_window")
+def _geometry_pair_highest_weight_window(bounds: Bounds) -> Cases:
     for w1 in range(1, bounds.max_weight + 1):
         for w2 in range(1, bounds.max_weight + 1):
             for level in range(max(w1, w2), bounds.max_level + 1):
@@ -521,54 +519,13 @@ def _geometry_pair_highest_weight_window(bounds: Bounds) -> PropertyResult:
                         and (mu + w1 + w2) % 2 == 0
                     )
                     got = census.per_mu.get(mu, 0)
-                    res.check(
+                    yield (
                         got == (1 if inside else 0),
                         lambda: f"w1={w1} w2={w2} l={level} mu={mu}: count {got}",
                     )
-    return res
 
 
 # -------------------------------------------------------------------- runner
-
-SUITES: dict[str, tuple] = {
-    "ring": (
-        _ring_cg_total_dimension,
-        _ring_fuse_is_truncated_cg,
-        _ring_fusion_quotient_identity,
-        _ring_quotient_reflection,
-        _ring_bracketing_independence,
-        _ring_generator_assoc_comm,
-    ),
-    "matches": (
-        _matches_cm_count_equals_hom_dim,
-        _matches_oriented_total_dimension,
-        _matches_weight_census,
-        _matches_brute_force_equivalence,
-        _matches_no_nested_unmatched,
-    ),
-    "bracketing": (
-        _bracketing_count_equals_fusion_dim,
-        _bracketing_count_independent_of_tree,
-        _bracketing_pair_closed_form,
-        _bracketing_level_monotonicity,
-        _bracketing_stratified_no_cross,
-        _bracketing_stratified_with_cross,
-        _bracketing_ra_equals_rb,
-    ),
-    "module": (
-        _module_sl2_relations,
-        _module_isotypic_equals_fusion,
-        _module_dimension_matches,
-        _module_h_weights_match,
-    ),
-    "geometry": (
-        _geometry_nl_equiv_budget,
-        _geometry_census_matches_fusion,
-        _geometry_untruncated_dim_product,
-        _geometry_dim_formulas,
-        _geometry_pair_highest_weight_window,
-    ),
-}
 
 
 def run_suites(names, bounds: Bounds) -> list[PropertyResult]:

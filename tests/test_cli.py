@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import fusionkit
@@ -303,6 +304,34 @@ def test_verify_fault_injection_surfaces_counterexample(capsys, monkeypatch):
     assert "counterexample: v=1 w=2" in out
 
 
+def test_verify_failure_report_is_pinned(capsys, monkeypatch):
+    # Dropping the highest weight of every level-cut product breaks the ring,
+    # bracketing, module and geometry suites at once; the report of those
+    # failures (8 FAIL lines, 40 counterexamples) is pinned byte for byte.
+    import fusionkit.ring as ring_module
+
+    real = ring_module._product
+
+    def drop_top(x, y, level=None):
+        out = real(x, y, level)
+        if level is None or not out.coeffs:
+            return out
+        top = max(out.coeffs)
+        return ring_module.RingElement({k: c for k, c in out.coeffs.items() if k != top})
+
+    monkeypatch.setattr(ring_module, "_product", drop_top)
+    code, out, _ = run(
+        capsys, "verify", "--suite", "all",
+        "--max-rank", "3", "--max-weight", "3", "--max-level", "4",
+    )
+    assert code == 1
+    assert out.count("FAIL") == 8 and out.count("counterexample:") == 40
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "ab0ef1042b5f59be8b882ec7a436d718108932e259138e47b4036586004794a0"
+    )
+
+
 def test_verify_output_is_byte_identical_across_runs(capsys):
     outputs = []
     for _ in range(2):
@@ -372,6 +401,22 @@ def test_render_unknown_key_exits_one(capsys):
 def test_render_index_out_of_range_exits_one(capsys):
     code, _, _ = run(capsys, "render", "99", "--boxes", "1,1")
     assert code == 1
+
+
+def test_oversized_boxes_exit_one_at_once(capsys):
+    # A 30M-vertex key used to build a 90M-column drawing until the process
+    # was killed; every way in refuses more than 64 vertices before any work.
+    for argv in (
+        ("render", "30000000|"),
+        ("render", "0", "--boxes", "30000000"),
+        ("matches", "-b", "65"),
+        ("components", "-b", "33,32"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert "at most 64 vertices" in err, argv
+        assert time.perf_counter() - start < 1.0, argv
 
 
 def test_render_index_without_boxes_is_usage_error(capsys):

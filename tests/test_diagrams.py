@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import diagrams
+from fusionkit import diagrams, kernels
 from fusionkit.cli import main
 from fusionkit.diagrams import (
     BoxConfig,
@@ -56,6 +56,17 @@ def test_box_config_errors():
         BoxConfig((1, -1))
     with pytest.raises(ValueError):
         BoxConfig((1, 1)).box_of(3)
+
+
+def test_box_config_refuses_more_vertices_than_the_kernel_cap():
+    assert BoxConfig((kernels.MAX_VERTICES,)).total == kernels.MAX_VERTICES
+    with pytest.raises(ValueError, match="at most 64 vertices, got 65"):
+        BoxConfig((32, 33))
+    with pytest.raises(ValueError, match="at most 64 vertices, got 30000000") as info:
+        parse_canonical_key("30000000|")
+    assert "malformed" not in str(info.value)
+    with pytest.raises(ValueError, match="at most 64 vertices, got 80"):
+        LowerMatch.from_json_dict({"boxes": [40, 40], "arcs": [], "mu": 80})
 
 
 # ---------------------------------------------------------------------- validate
@@ -286,7 +297,7 @@ def test_canonical_key_injective_and_parseable():
 
 
 def test_parse_canonical_key_rejects_garbage():
-    for bad in ["", "a,b|", "1,1|2-1-3", "1,1|1+2", "2|1-2"]:
+    for bad in ["", "a,b|", "1,-1|", "1,1|2-1-3", "1,1|1+2", "2|1-2"]:
         with pytest.raises(ValueError):
             parse_canonical_key(bad)
 

@@ -100,6 +100,5 @@ def test_layout_gives_the_box_of_each_vertex_and_prefix_sums():
     assert kernels.layout((1, 2)) is kernels.layout((1, 2))
     for sizes in itertools.product(range(0, 4), repeat=3):
         box, prefix = kernels.layout(sizes)
-        boxes = diagrams.BoxConfig(sizes)
-        assert box[1:] == tuple(boxes.box_of(v) for v in range(1, boxes.total + 1)), sizes
-        assert prefix[-1] == boxes.total
+        assert box[1:] == tuple(b for b, s in enumerate(sizes, 1) for _ in range(s)), sizes
+        assert prefix == tuple(sum(sizes[:i]) for i in range(len(sizes) + 1)), sizes
