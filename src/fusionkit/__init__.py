@@ -8,7 +8,6 @@ cross-verifies every counting identity relating the two pictures.
 
 from .bracketing import (
     BracketTree,
-    NodeScope,
     count_truncated,
     enumerate_trees,
     parse_bracketing,
@@ -72,7 +71,6 @@ __all__ = [
     "KernelProfile",
     "LowerMatch",
     "ModuleBasis",
-    "NodeScope",
     "OrientedLowerMatch",
     "RingElement",
     "action_matrices",

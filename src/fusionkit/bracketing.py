@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, reduce
-from typing import NamedTuple
 
 from . import kernels
 from .diagrams import BoxConfig, LowerMatch, _as_weight
@@ -36,31 +35,35 @@ from .diagrams import BoxConfig, LowerMatch, _as_weight
 
 @dataclass(frozen=True)
 class BracketTree:
-    """A full binary tree over the leaf interval lo..hi (1-based, inclusive)."""
+    """A full binary tree over the leaf interval lo..hi (1-based, inclusive).
+
+    The tree is stored as its operations alone: ``scopes`` holds
+    ``(S lo, A hi, B lo, S hi)`` per internal node, in postorder, and with
+    ``lo`` and ``hi`` determines the tree.  ``children``, the (left, right)
+    pair of an internal node, is read at construction and not kept.
+    """
 
     lo: int
     hi: int
-    # Not compared: lo, hi and the scope list determine the tree.
-    children: tuple["BracketTree", "BracketTree"] | None = field(default=None, compare=False)
-    # (S lo, A hi, B lo, S hi) per internal node, in postorder.
-    _flat_scopes: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False)
+    children: InitVar[tuple["BracketTree", "BracketTree"] | None] = None
+    scopes: tuple[tuple[int, int, int, int], ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, children):
         if self.lo < 1 or self.hi < self.lo:
             raise ValueError(f"bad leaf interval {self.lo}..{self.hi}")
-        if self.children is None:
+        if children is None:
             if self.lo != self.hi:
                 raise ValueError("a leaf must cover a single index")
-            flat = ()
+            scopes = ()
         else:
-            left, right = self.children
+            left, right = children
             if left.lo != self.lo or right.hi != self.hi or left.hi + 1 != right.lo:
                 raise ValueError(
                     f"children {left.lo}..{left.hi} and {right.lo}..{right.hi} "
                     f"do not tile {self.lo}..{self.hi}"
                 )
-            flat = left._flat_scopes + right._flat_scopes + ((self.lo, left.hi, right.lo, self.hi),)
-        object.__setattr__(self, "_flat_scopes", flat)
+            scopes = left.scopes + right.scopes + ((self.lo, left.hi, right.lo, self.hi),)
+        object.__setattr__(self, "scopes", scopes)
 
     @classmethod
     def leaf(cls, index: int) -> "BracketTree":
@@ -90,25 +93,22 @@ class BracketTree:
         return tree
 
     @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    @property
     def num_leaves(self) -> int:
         return self.hi - self.lo + 1
 
-    def scopes(self) -> tuple["NodeScope", ...]:
-        """One scope record per internal node, in postorder."""
-        return tuple(
-            NodeScope(a=(slo, ahi), b=(blo, shi), s=(slo, shi))
-            for slo, ahi, blo, shi in self._flat_scopes
-        )
+    def fold(self, leaf, join):
+        """``leaf(i)`` for each leaf i in order, combined by ``join(a, b)`` at each operation.
+
+        The operations are taken in postorder without recursion: each value
+        waits in a dict keyed by its leaf interval until its operation pops it.
+        """
+        done = {(i, i): leaf(i) for i in range(self.lo, self.hi + 1)}
+        for slo, ahi, blo, shi in self.scopes:
+            done[slo, shi] = join(done.pop((slo, ahi)), done.pop((blo, shi)))
+        return done[self.lo, self.hi]
 
     def __str__(self) -> str:
-        if self.is_leaf:
-            return str(self.lo)
-        left, right = self.children
-        return f"({left}{right})"
+        return self.fold(str, "({}{})".format)
 
 
 @lru_cache(maxsize=None)
@@ -116,19 +116,12 @@ def _left_comb(r: int) -> BracketTree:
     return reduce(BracketTree.join, map(BracketTree.leaf, range(1, r + 1)))
 
 
-class NodeScope(NamedTuple):
-    """Leaf intervals of one tensor operation: left side, right side, union."""
-
-    a: tuple[int, int]
-    b: tuple[int, int]
-    s: tuple[int, int]
-
-
 def parse_bracketing(text: str, r: int) -> BracketTree:
     """Parse ``text`` into a bracketing tree with leaves 1..r in order.
 
-    Leaves are single digits (enumeration is capped at eight factors anyway);
-    whitespace is ignored.
+    Leaves are single digits (enumeration is capped at eight factors anyway),
+    so no valid text nests deeper than 8 and a deeper one is refused at its
+    9th open bracket; whitespace is ignored.
     """
     r = operator.index(r)
     pos = 0
@@ -139,16 +132,18 @@ def parse_bracketing(text: str, r: int) -> BracketTree:
         while pos < n and text[pos].isspace():
             pos += 1
 
-    def expr() -> BracketTree:
+    def expr(depth: int) -> BracketTree:
         nonlocal pos
         skip_ws()
         if pos >= n:
             raise ValueError("unexpected end of bracketing expression")
         ch = text[pos]
         if ch == "(":
+            if depth == 8:
+                raise ValueError(f"brackets nest deeper than 8 at position {pos}")
             pos += 1
-            left = expr()
-            right = expr()
+            left = expr(depth + 1)
+            right = expr(depth + 1)
             skip_ws()
             if pos >= n or text[pos] != ")":
                 raise ValueError(f"expected ')' at position {pos} in {text!r}")
@@ -159,7 +154,7 @@ def parse_bracketing(text: str, r: int) -> BracketTree:
             return BracketTree.leaf(int(ch))
         raise ValueError(f"unexpected character {ch!r} at position {pos} in {text!r}")
 
-    tree = expr()
+    tree = expr(0)
     skip_ws()
     if pos != n:
         raise ValueError(f"trailing input at position {pos} in {text!r}")
@@ -211,7 +206,7 @@ def check_alcove(sizes, level) -> int:
 def _check_tree(tree: BracketTree, count: int) -> None:
     if tree.num_leaves != count or tree.lo != 1:
         raise ValueError(
-            f"bracketing covers leaves {tree.lo}..{tree.hi} but the match has {count} boxes"
+            f"bracketing covers leaves {tree.lo}..{tree.hi} but there are {count} factors"
         )
 
 
@@ -232,14 +227,14 @@ def budget_load(m: LowerMatch, tree: BracketTree) -> int:
     operation and load 0.
     """
     _check_tree(tree, m.boxes.count)
-    return kernels.load(m.boxes.sizes, m.arcs, tree._flat_scopes)
+    return kernels.load(m.boxes.sizes, m.arcs, tree.scopes)
 
 
 @lru_cache(maxsize=None)
 def budget_loads(sizes: tuple[int, ...], tree: BracketTree) -> tuple[int, ...]:
     """The budget load of every arc set of ``kernels.enumerate_arc_sets(sizes)``, in order."""
     _check_tree(tree, len(sizes))
-    scopes = tree._flat_scopes
+    scopes = tree.scopes
     return tuple(kernels.load(sizes, arcs, scopes) for arcs in kernels.enumerate_arc_sets(sizes))
 
 
@@ -254,7 +249,7 @@ def search_budget(sizes: tuple[int, ...], level: int, tree: BracketTree):
     _, prefix = kernels.layout(sizes)
     scopes = tuple(
         scope
-        for scope in tree._flat_scopes
+        for scope in tree.scopes
         if prefix[scope[3]] < prefix[-1] and prefix[scope[3]] - prefix[scope[0] - 1] > level
     )
     return (level, scopes) if scopes else None

@@ -233,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run exhaustive property sweeps")
     p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
-    p.add_argument("--max-rank", type=int, default=4, help="largest number of factors")
-    p.add_argument("--max-weight", type=int, default=4, help="largest highest weight")
-    p.add_argument("--max-level", type=int, default=6, help="largest fusion level")
+    bounds = verify.Bounds()
+    p.add_argument("--max-rank", type=int, default=bounds.max_rank, help="largest number of factors")
+    p.add_argument("--max-weight", type=int, default=bounds.max_weight, help="largest highest weight")
+    p.add_argument("--max-level", type=int, default=bounds.max_level, help="largest fusion level")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw a match as text art or SVG")

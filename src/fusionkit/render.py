@@ -9,7 +9,7 @@ horizontals can never collide.
 
 from __future__ import annotations
 
-from .diagrams import BoxConfig, LowerMatch
+from .diagrams import BoxConfig, LowerMatch, OrientedLowerMatch
 
 
 def _layout(boxes: BoxConfig):
@@ -41,8 +41,7 @@ def _arc_depths(arcs) -> dict[tuple[int, int], int]:
 
 def ascii_diagram(m: LowerMatch, downs: int | None = None) -> str:
     """Multi-line text picture; ``downs`` marks that many rightmost rays down."""
-    if downs is not None and not 0 <= downs <= m.mu:
-        raise ValueError(f"downs must lie in 0..{m.mu}, got {downs}")
+    down = None if downs is None else OrientedLowerMatch(m, downs).down_vertices()
     vcol, spans, width = _layout(m.boxes)
     depths = _arc_depths(m.arcs)
     max_depth = max(depths.values(), default=0)
@@ -64,12 +63,12 @@ def ascii_diagram(m: LowerMatch, downs: int | None = None) -> str:
             grid[below][cp] = "|"
             grid[below][cq] = "|"
 
-    for i, u in enumerate(free):
+    for u in free:
         c = vcol[u]
         for row in range(top_rows):
             grid[row][c] = "|"
-        if downs is not None:
-            grid[0][c] = "v" if i >= len(free) - downs else "^"
+        if down is not None:
+            grid[0][c] = "v" if u in down else "^"
 
     for c in vcol.values():
         grid[vertex_row][c] = "o"
@@ -84,8 +83,7 @@ def ascii_diagram(m: LowerMatch, downs: int | None = None) -> str:
 
 def svg_diagram(m: LowerMatch, downs: int | None = None) -> str:
     """Standalone SVG: boxes as rectangles, arcs as semicircles, oriented rays."""
-    if downs is not None and not 0 <= downs <= m.mu:
-        raise ValueError(f"downs must lie in 0..{m.mu}, got {downs}")
+    down = None if downs is None else OrientedLowerMatch(m, downs).down_vertices()
     vcol, spans, width = _layout(m.boxes)
 
     def x(col: int) -> int:
@@ -107,12 +105,11 @@ def svg_diagram(m: LowerMatch, downs: int | None = None) -> str:
             f'<path d="M {xp} {base} A {r:g} {r:g} 0 0 1 {xq} {base}" '
             f'fill="none" stroke="black"/>'
         )
-    free = m.unmatched()
-    for i, u in enumerate(free):
+    for u in m.unmatched():
         xu = x(vcol[u])
         parts.append(f'<line x1="{xu}" y1="{base}" x2="{xu}" y2="24" stroke="black"/>')
-        if downs is not None:
-            if i >= len(free) - downs:
+        if down is not None:
+            if u in down:
                 parts.append(
                     f'<polygon points="{xu},30 {xu - 4},22 {xu + 4},22" fill="black"/>'
                 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from typing import Iterator, Mapping
 
-from .bracketing import BracketTree, _check_level, check_alcove
+from .bracketing import BracketTree, _check_level, check_alcove, resolve_tree
 from .diagrams import _as_weight
 
 
@@ -171,20 +171,9 @@ def fuse_many(ws, level, tree: BracketTree | None = None) -> RingElement:
     level = check_alcove(ws, level)
     if not ws:
         return RingElement.unit()
-    if tree is None:
-        tree = BracketTree.left_comb(len(ws))
-    if tree.num_leaves != len(ws) or tree.lo != 1:
-        raise ValueError(
-            f"bracketing covers leaves {tree.lo}..{tree.hi} but there are {len(ws)} factors"
-        )
-
-    def fold(node: BracketTree) -> RingElement:
-        if node.is_leaf:
-            return RingElement.simple(ws[node.lo - 1])
-        left, right = node.children
-        return _product(fold(left), fold(right), level)
-
-    return fold(tree)
+    return resolve_tree(tree, len(ws)).fold(
+        lambda i: RingElement.simple(ws[i - 1]), lambda x, y: _product(x, y, level)
+    )
 
 
 def quotient_reduce(x: RingElement, level) -> RingElement:

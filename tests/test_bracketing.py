@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +33,30 @@ from fusionkit.ring import dim_hom_fusion
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
 
-def _scopes_by_walk(tree: BracketTree) -> list:
-    """(A, B, S) leaf intervals of every internal node, found by walking the children."""
-    if tree.is_leaf:
-        return []
-    left, right = tree.children
-    own = ((left.lo, left.hi), (right.lo, right.hi), (tree.lo, tree.hi))
-    return _scopes_by_walk(left) + _scopes_by_walk(right) + [own]
+def _scopes_by_walk(text: str) -> list:
+    """(A, B, S) leaf intervals of every operation of a bracketing text, in postorder.
+
+    Read with a stack of leaf intervals and no BracketTree: a digit pushes its
+    leaf, and each ')' pops the two sides it closes and pushes their union.
+    """
+    stack, ops = [], []
+    for ch in text:
+        if ch.isdigit():
+            stack.append((int(ch), int(ch)))
+        elif ch == ")":
+            b = stack.pop()
+            a = stack.pop()
+            ops.append((a, b, (a[0], b[1])))
+            stack.append((a[0], b[1]))
+    assert len(stack) == 1, text
+    return ops
+
+
+def _texts(lo: int, hi: int) -> list[str]:
+    """Every bracketing text on leaves lo..hi, split points in increasing order."""
+    if lo == hi:
+        return [str(lo)]
+    return [f"({a}{b})" for k in range(lo, hi) for a in _texts(lo, k) for b in _texts(k + 1, hi)]
 
 
 def _budget_ok_by_scope(m: LowerMatch, level: int, tree: BracketTree) -> bool:
@@ -46,7 +64,7 @@ def _budget_ok_by_scope(m: LowerMatch, level: int, tree: BracketTree) -> bool:
     boxes = m.boxes
     arc_boxes = [(boxes.box_of(p), boxes.box_of(q)) for p, q in m.arcs]
     free_boxes = [boxes.box_of(u) for u in m.unmatched()]
-    for (alo, ahi), (blo, bhi), (slo, shi) in _scopes_by_walk(tree):
+    for (alo, ahi), (blo, bhi), (slo, shi) in _scopes_by_walk(str(tree)):
         count = 0
         for bp, bq in arc_boxes:
             p_in = slo <= bp <= shi
@@ -73,11 +91,7 @@ def test_parse_bracketing_examples():
     assert right == BracketTree.right_comb(3)
 
     balanced = parse_bracketing("((12)(34))", 4)
-    assert balanced.scopes() == (
-        ((1, 1), (2, 2), (1, 2)),
-        ((3, 3), (4, 4), (3, 4)),
-        ((1, 2), (3, 4), (1, 4)),
-    )
+    assert balanced.scopes == ((1, 1, 2, 2), (3, 3, 4, 4), (1, 2, 3, 4))
 
 
 def test_parse_bracketing_accepts_whitespace_and_single_leaf():
@@ -105,6 +119,15 @@ def test_parse_bracketing_rejects(text, r):
         parse_bracketing(text, r)
 
 
+def test_parse_bracketing_refuses_nesting_deeper_than_single_digit_leaves_allow():
+    assert parse_bracketing("((((((((12)3)4)5)6)7)8)9)", 9) == BracketTree.left_comb(9)
+    assert parse_bracketing("(1(2(3(4(5(6(7(89))))))))", 9) == BracketTree.right_comb(9)
+    with pytest.raises(ValueError, match="nest deeper than 8 at position 8"):
+        parse_bracketing("(" * 9 + "12" + ")" * 9, 2)
+    with pytest.raises(ValueError, match="nest deeper than 8"):
+        parse_bracketing("(" * 3000, 2)
+
+
 def test_str_parse_roundtrip():
     for r in range(1, 6):
         for tree in enumerate_trees(r):
@@ -127,13 +150,18 @@ def test_enumerate_trees_bounds():
 
 
 def test_tree_structure_invariants():
-    for tree in enumerate_trees(4):
-        assert tree.num_leaves == 4
-        assert list(tree.scopes()) == _scopes_by_walk(tree)
-        assert len(tree.scopes()) == 3
-        for (alo, ahi), (blo, bhi), (slo, shi) in tree.scopes():
-            assert alo <= ahi and blo <= bhi
-            assert ahi + 1 == blo and (slo, shi) == (alo, bhi)
+    for r in range(1, 9):
+        texts = _texts(1, r)
+        trees = enumerate_trees(r)
+        assert [str(tree) for tree in trees] == texts, r
+        for tree, text in zip(trees, texts):
+            assert tree.num_leaves == r
+            walk = _scopes_by_walk(text)
+            assert tree.scopes == tuple((s[0], a[1], b[0], s[1]) for a, b, s in walk), text
+            assert len(tree.scopes) == r - 1
+            for (alo, ahi), (blo, bhi), (slo, shi) in walk:
+                assert alo <= ahi and blo <= bhi
+                assert ahi + 1 == blo and (slo, shi) == (alo, bhi)
 
 
 def test_trees_compare_and_hash_by_their_scopes():
@@ -160,8 +188,60 @@ def test_default_tree_is_one_shared_left_comb():
 
 
 def test_resolve_tree_rejects_leaf_count_mismatch():
-    with pytest.raises(ValueError, match="covers leaves 1..3 but the match has 2 boxes"):
+    with pytest.raises(ValueError, match="covers leaves 1..3 but there are 2 factors"):
         resolve_tree(BracketTree.left_comb(3), 2)
+
+
+def test_construction_checks_the_leaf_interval_and_the_tiling():
+    assert BracketTree(1, 2, (BracketTree.leaf(1), BracketTree.leaf(2))) == BracketTree.left_comb(2)
+    with pytest.raises(ValueError, match="bad leaf interval 0..0"):
+        BracketTree(0, 0)
+    with pytest.raises(ValueError, match="a leaf must cover a single index"):
+        BracketTree(1, 2)
+    with pytest.raises(ValueError, match="children 1..1 and 2..2 do not tile 1..3"):
+        BracketTree(1, 3, (BracketTree.leaf(1), BracketTree.leaf(2)))
+
+
+def test_fold_takes_leaves_in_order_and_operations_in_postorder():
+    for r in range(1, 7):
+        for tree in enumerate_trees(r):
+            leaves, joins = [], []
+
+            def leaf(i):
+                leaves.append(i)
+                return (i, i)
+
+            def join(a, b):
+                joins.append((a[0], a[1], b[0], b[1]))
+                return (a[0], b[1])
+
+            assert tree.fold(leaf, join) == (1, r)
+            assert leaves == list(range(1, r + 1)), str(tree)
+            assert tuple(joins) == tree.scopes, str(tree)
+    assert BracketTree.leaf(5).fold(lambda i: ("leaf", i), None) == ("leaf", 5)
+
+
+def test_deep_trees_print_without_recursion():
+    r = 1500
+    text = str(r)
+    for i in range(r - 1, 0, -1):
+        text = f"({i}{text})"
+    assert str(BracketTree.right_comb(r)) == text
+    assert repr(BracketTree.left_comb(2)) == "BracketTree(lo=1, hi=2, scopes=((1, 1, 2, 2),))"
+    assert repr(BracketTree.left_comb(r)).startswith("BracketTree(lo=1, hi=1500, scopes=((1, 1, 2, 2), ")
+
+
+def test_a_kept_tree_holds_only_its_scopes():
+    # Keeping every subtree would cost O(r^2) memory: about 35 MB for this comb.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = BracketTree.right_comb(3000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tree.num_leaves == 3000
+    assert held < 2 * 2**20, held
 
 
 # ----------------------------------------------------------------- level budget
@@ -237,9 +317,9 @@ def test_budget_load_examples():
 
 
 def test_budget_load_rejects_leaf_count_mismatch():
-    with pytest.raises(ValueError, match="covers leaves 1..3 but the match has 2 boxes"):
+    with pytest.raises(ValueError, match="covers leaves 1..3 but there are 2 factors"):
         budget_load(LowerMatch((1, 1), ()), BracketTree.left_comb(3))
-    with pytest.raises(ValueError, match="covers leaves 1..3 but the match has 2 boxes"):
+    with pytest.raises(ValueError, match="covers leaves 1..3 but there are 2 factors"):
         budget_loads((1, 1), BracketTree.left_comb(3))
 
 
@@ -261,7 +341,7 @@ def test_count_truncated_rejects_weights_above_level():
 
 def test_count_truncated_checks_tree_even_for_an_empty_mu_slice():
     for mu in (0, 5):
-        with pytest.raises(ValueError, match="covers leaves 1..3 but the match has 2 boxes"):
+        with pytest.raises(ValueError, match="covers leaves 1..3 but there are 2 factors"):
             count_truncated((1, 1), mu, 1, BracketTree.left_comb(3))
 
 
@@ -359,7 +439,7 @@ def _assert_pruned_search_agrees_with_oracle(sizes, tree, level):
     kept = [m.arcs for m in candidates if satisfies_truncation(m, level, tree)]
     assert kept == passing, (sizes, tree, level)
     # Given every scope, the root included, the kernel itself is exact.
-    assert list(kernels.enumerate_arc_sets(sizes, (level, tree._flat_scopes))) == passing
+    assert list(kernels.enumerate_arc_sets(sizes, (level, tree.scopes))) == passing
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,10 +10,14 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import fusionkit
-from fusionkit.cli import main
+from fusionkit import verify
+from fusionkit.cli import build_parser, main
 from fusionkit.diagrams import LowerMatch, enumerate_lcm
 from fusionkit.geometry import ComponentCensus, component_census
+from fusionkit.render import ascii_diagram, svg_diagram
 
 
 def run(capsys, *argv):
@@ -76,6 +80,18 @@ def test_fuse_rejects_bad_bracketing_as_usage_error(capsys):
     )
     assert code == 2
     assert "bracketing" in err
+
+
+def test_fuse_of_many_factors_runs_without_recursion(capsys):
+    code, out, err = run(capsys, "fuse", "-w", ",".join(["0"] * 2000), "-l", "1")
+    assert (code, out, err) == (0, "V0\n", "")
+
+
+def test_deeply_nested_bracketing_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "fuse", "-w", "1,1", "-l", "2", "-s", "(" * 3000)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --bracketing") and "Traceback" not in err
+    assert len(err) < 200
 
 
 def test_fuse_rejects_svg_format(capsys):
@@ -239,6 +255,14 @@ def test_components_json(capsys):
 # ----------------------------------------------------------------------- verify
 
 
+def test_verify_bound_defaults_are_those_of_bounds():
+    args = build_parser().parse_args(["verify"])
+    bounds = verify.Bounds()
+    assert (args.max_rank, args.max_weight, args.max_level) == (
+        bounds.max_rank, bounds.max_weight, bounds.max_level
+    )
+
+
 def test_verify_ring_suite_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "ring",
@@ -390,6 +414,15 @@ def test_render_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("<svg")
+
+
+def test_render_refuses_downs_beyond_the_unmatched_count():
+    m = LowerMatch((1, 1), ())
+    for draw in (ascii_diagram, svg_diagram):
+        with pytest.raises(ValueError, match=r"downs must lie in 0\.\.2, got 3"):
+            draw(m, 3)
+        with pytest.raises(ValueError, match=r"downs must lie in 0\.\.2, got -1"):
+            draw(m, -1)
 
 
 def test_render_unknown_key_exits_one(capsys):

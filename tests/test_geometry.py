@@ -171,9 +171,9 @@ def test_component_census_rejects_weights_above_level():
 
 
 def test_component_census_rejects_tree_with_wrong_leaf_count():
-    with pytest.raises(ValueError, match="covers leaves 1..5 but the match has 2 boxes"):
+    with pytest.raises(ValueError, match="covers leaves 1..5 but there are 2 factors"):
         component_census((1, 1), None, BracketTree.left_comb(5))
-    with pytest.raises(ValueError, match="covers leaves 1..5 but the match has 2 boxes"):
+    with pytest.raises(ValueError, match="covers leaves 1..5 but there are 2 factors"):
         component_census((1, 1), 2, BracketTree.left_comb(5))
     assert component_census((1, 1), None, BracketTree.left_comb(2)) == component_census((1, 1))
 

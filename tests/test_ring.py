@@ -185,8 +185,15 @@ def test_fuse_many_defaults_to_left_comb():
 
 
 def test_fuse_many_leaf_count_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="covers leaves 1..3 but there are 2 factors"):
         fuse_many([1, 1], 2, BracketTree.left_comb(3))
+
+
+def test_fuse_many_folds_deep_trees_without_recursion():
+    # At level 2, V1 x V1 = V0 + V2 and V1 x V0 = V1 x V2 = V1, so 1500 copies give 2^749 (V0 + V2).
+    expected = {0: 2**749, 2: 2**749}
+    assert fuse_many([1] * 1500, 2).coeffs == expected
+    assert fuse_many([1] * 1500, 2, BracketTree.right_comb(1500)).coeffs == expected
 
 
 def test_fuse_many_independent_of_bracketing():
