@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from . import kernels
 from .diagrams import BoxConfig, LowerMatch, _as_weight
@@ -75,6 +75,15 @@ class BracketTree:
         return cls(left.lo, right.hi, (left, right))
 
     @classmethod
+    def _from_scopes(cls, lo: int, hi: int, scopes) -> "BracketTree":
+        """Wrap the postorder scopes of a tree on lo..hi, which the caller has written right."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "lo", lo)
+        object.__setattr__(tree, "hi", hi)
+        object.__setattr__(tree, "scopes", tuple(scopes))
+        return tree
+
+    @classmethod
     def left_comb(cls, r: int) -> "BracketTree":
         """The default bracketing (...((1 2) 3)... r), one shared instance per leaf count."""
         r = operator.index(r)
@@ -84,13 +93,11 @@ class BracketTree:
 
     @classmethod
     def right_comb(cls, r: int) -> "BracketTree":
+        """The bracketing (1 (2 (... (r-1 r)...))), its scopes written in one pass."""
         r = operator.index(r)
         if r < 1:
             raise ValueError(f"need at least one leaf, got {r}")
-        tree = cls.leaf(r)
-        for i in range(r - 1, 0, -1):
-            tree = cls.join(cls.leaf(i), tree)
-        return tree
+        return cls._from_scopes(1, r, ((i, i, i + 1, r) for i in range(r - 1, 0, -1)))
 
     @property
     def num_leaves(self) -> int:
@@ -113,7 +120,8 @@ class BracketTree:
 
 @lru_cache(maxsize=None)
 def _left_comb(r: int) -> BracketTree:
-    return reduce(BracketTree.join, map(BracketTree.leaf, range(1, r + 1)))
+    # Written in one pass: joining leaf by leaf would copy the scopes r times.
+    return BracketTree._from_scopes(1, r, ((1, i - 1, i, i) for i in range(2, r + 1)))
 
 
 def parse_bracketing(text: str, r: int) -> BracketTree:

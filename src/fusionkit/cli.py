@@ -102,14 +102,15 @@ def cmd_matches(args) -> int:
     if args.mu is not None:
         found = [m for m in found if m.mu == args.mu]
     if args.oriented:
-        oriented = [o for m in found for o in diagrams.orientations(m)]
         if args.format == "json":
-            _emit(args, _dump([o.to_json_dict() for o in oriented]))
+            _emit(args, _dump([o.to_json_dict() for m in found for o in diagrams.orientations(m)]))
         else:
-            lines = [
-                f"{diagrams.canonical_key(o.base)} downs={o.downs} weight={o.weight}"
-                for o in oriented
-            ]
+            lines = []
+            for m in found:
+                key = diagrams.canonical_key(m)
+                lines.extend(
+                    f"{key} downs={o.downs} weight={o.weight}" for o in diagrams.orientations(m)
+                )
             _emit(args, "\n".join(lines) if lines else "(none)")
     else:
         if args.format == "json":

@@ -135,14 +135,12 @@ class LowerMatch:
         return tuple(v for v in range(1, self.boxes.total + 1) if v not in used)
 
     def to_json_dict(self) -> dict:
-        return {
-            "boxes": list(self.boxes.sizes),
-            "arcs": [list(arc) for arc in self.arcs],
-            "mu": self.mu,
-        }
+        """``boxes`` and ``arcs`` are the match's own tuples, which ``json`` writes as arrays."""
+        return {"boxes": self.boxes.sizes, "arcs": self.arcs, "mu": self.mu}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LowerMatch":
+        """Inverse of :meth:`to_json_dict`; ``boxes`` and ``arcs`` may be lists or tuples."""
         m = cls(BoxConfig(tuple(obj["boxes"])), tuple((p, q) for p, q in obj["arcs"]))
         if obj["mu"] != m.mu:
             raise ValueError(f"mu {obj['mu']} disagrees with the {m.mu} unmatched vertices")

@@ -534,6 +534,23 @@ PRUNED_SEARCH_DIGESTS = [
 ]
 
 
+# sha256 digests recorded before untruncated listings were built from blocks
+# and serialized from tuples: listing forms no digest above covers, among
+# them a right comb, whose truncated listing takes the untruncated path.
+BLOCK_LISTING_DIGESTS = [
+    (("matches", "-b", "2,3,1,2", "--oriented", "-f", "json"), 0, "out",
+     "721810a93f1c0a0324e7137e720b6345ce4f2f385f3737dec8dcfc32f8379b47"),
+    (("matches", "-b", "3,2,3,2"), 0, "out",
+     "991c7ae81994a0e6b80f6e76bd4d3a45bf82f9871689ced9cbf7d22c3edd05d8"),
+    (("matches", "-b", "2,2,2", "-m", "7"), 0, "out",
+     "5dfecbf35de344dc6dc4b8a79c4e5327122b2737250403b04abf2060fbc3927f"),
+    (("matches", "-b", "0,2,0,2,1", "-f", "json"), 0, "out",
+     "a536a1f37e9e6d5374f218498ac4a912e702683b3286a4891fc0d150981f0de4"),
+    (("matches", "-b", "3,3,3,3,3", "-l", "4", "-s", "(1(2(3(45))))", "--oriented", "-f", "json"),
+     0, "out", "c5f5feebcb296a7fc8eaa381bdf1c128ac74ebbe814b7687e898100e1f566149"),
+]
+
+
 def _assert_digests(capsys, cases):
     for argv, expected_code, stream, digest in cases:
         code, out, err = run(capsys, *argv)
@@ -552,3 +569,17 @@ def test_truncated_and_bracketed_outputs_match_parent_digests(capsys):
 
 def test_pruned_truncated_outputs_match_parent_digests(capsys):
     _assert_digests(capsys, PRUNED_SEARCH_DIGESTS)
+
+
+def test_block_listing_outputs_match_parent_digests(capsys):
+    _assert_digests(capsys, BLOCK_LISTING_DIGESTS)
+
+
+def test_matches_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    argv = ["matches", "-b", "4,4,4,4", "-f", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "matches.json"
+    code, to_file, _ = run(capsys, *argv, "-o", str(target))
+    assert (code, to_file) == (0, "")
+    assert target.read_bytes() == out.encode()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -327,3 +328,27 @@ def test_oriented_json_rejects_weight_that_disagrees_with_downs():
 def test_lower_match_json_rejects_invalid_arcs():
     with pytest.raises(ValueError, match="invalid lower match"):
         LowerMatch.from_json_dict({"boxes": [2], "arcs": [[1, 2]], "mu": 0})
+
+
+def _list_built_json(x) -> dict:
+    """The JSON dict as it was built before ``to_json_dict`` returned tuples."""
+    m = x.base if isinstance(x, OrientedLowerMatch) else x
+    out = {"boxes": list(m.boxes.sizes), "arcs": [list(arc) for arc in m.arcs], "mu": m.mu}
+    if isinstance(x, OrientedLowerMatch):
+        out["downs"] = x.downs
+        out["weight"] = x.weight
+    return out
+
+
+def test_json_text_of_tuples_equals_that_of_lists():
+    seen = 0
+    for sizes in [(2, 3, 1, 2), (0, 2, 0, 2, 1)]:
+        for m in enumerate_lcm(sizes):
+            for x in [m, *orientations(m)]:
+                text = json.dumps(x.to_json_dict(), separators=(",", ":"))
+                assert text == json.dumps(_list_built_json(x), separators=(",", ":"))
+                assert type(x).from_json_dict(json.loads(text)) == x
+                assert type(x).from_json_dict(x.to_json_dict()) == x
+                seen += 1
+    # 16 matches with 3*4*2*3 orientations, and 5 with 3*3*2.
+    assert seen == 16 + 72 + 5 + 18

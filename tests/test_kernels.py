@@ -102,3 +102,60 @@ def test_layout_gives_the_box_of_each_vertex_and_prefix_sums():
         box, prefix = kernels.layout(sizes)
         assert box[1:] == tuple(b for b, s in enumerate(sizes, 1) for _ in range(s)), sizes
         assert prefix == tuple(sum(sizes[:i]) for i in range(len(sizes) + 1)), sizes
+
+
+# The untruncated listing is built from memoized blocks; the search, given a
+# budget with no scope, lists every match and is the oracle for the blocks.
+LISTING_FULL_TUPLES = [
+    (4, 4, 4, 4, 4, 4, 4, 4),
+    (4, 4, 4, 4, 3, 3, 3, 3),
+    (3, 3, 3, 3, 3, 3, 3, 3),
+    (4, 4, 4, 4, 4, 4, 4),
+    (3, 3, 3, 3, 3, 3, 3),
+    (4, 3, 4, 3, 4, 3, 2),
+    (1, 2, 3, 4, 1, 2, 3, 4),
+]
+
+
+def _search_oracle(sizes):
+    return kernels.enumerate_arc_sets(tuple(sizes), (max(sizes), ()))
+
+
+def _assert_canonical(out):
+    assert all(a < b for a, b in zip(out, out[1:]))
+
+
+def test_blocks_equal_the_search_on_every_small_tuple():
+    tuples = [
+        sizes
+        for r in range(1, 7)
+        for sizes in itertools.product(range(0, 5), repeat=r)
+        if sum(sizes) <= 10
+    ]
+    assert len(tuples) == 7658
+    for sizes in tuples:
+        out = kernels.enumerate_arc_sets(sizes)
+        assert out == _search_oracle(sizes), sizes
+        _assert_canonical(out)
+
+
+def test_blocks_equal_the_search_on_the_benchmark_listings():
+    for sizes in LISTING_FULL_TUPLES:
+        out = kernels.enumerate_arc_sets(sizes)
+        assert out == _search_oracle(sizes), sizes
+        _assert_canonical(out)
+        assert len(out) == kernels._match_count(sizes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=10).filter(lambda s: sum(s) <= 20))
+def test_blocks_equal_the_search_on_random_tuples(sizes):
+    out = kernels.enumerate_arc_sets(tuple(sizes))
+    assert out == _search_oracle(sizes)
+    _assert_canonical(out)
+
+
+def test_blocks_share_one_object_per_arc():
+    out = kernels.enumerate_arc_sets((3, 3, 3, 3))
+    arcs = [arc for arcs in out for arc in arcs]
+    assert len({id(arc) for arc in arcs}) == len(set(arcs))
