@@ -163,7 +163,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.match.isdigit():
+    if args.match.isascii() and args.match.isdigit():
         if args.boxes is None:
             raise UsageError("an index needs --boxes to enumerate against")
         found = diagrams.enumerate_lcm(tuple(args.boxes))

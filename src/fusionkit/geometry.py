@@ -23,6 +23,7 @@ from .bracketing import (
 from .diagrams import (
     BoxConfig,
     LowerMatch,
+    _as_weight,
     arc_census,
     canonical_key,
     enumerate_lcm,
@@ -120,7 +121,10 @@ class ComponentCensus:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ComponentCensus":
         census = cls(
-            per_mu={int(k): v for k, v in obj["per_mu"].items()},
+            per_mu={
+                _as_weight(int(k) if isinstance(k, str) else k): _as_weight(v, "component count")
+                for k, v in obj["per_mu"].items()
+            },
             total_components=obj["total_components"],
             total_dim=obj["total_dim"],
             labels=tuple(obj["labels"]),

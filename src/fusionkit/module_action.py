@@ -14,6 +14,7 @@ entry per column, stored as sparse ``(row, col, value)`` triples, and
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -30,38 +31,38 @@ from .diagrams import (
 
 @dataclass(frozen=True)
 class ModuleBasis:
-    """Ordered basis of oriented matches: canonical match order, then downs."""
+    """Oriented basis held as its passing matches, in canonical order: one block per match."""
 
     boxes: BoxConfig
     level: int
     tree: BracketTree
-    elements: tuple[OrientedLowerMatch, ...]
+    matches: tuple[LowerMatch, ...]
+
+    @property
+    def elements(self) -> tuple[OrientedLowerMatch, ...]:
+        """Each match's orientations by ascending downs, built anew on each access."""
+        return tuple(o for m in self.matches for o in orientations(m))
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return sum(m.mu + 1 for m in self.matches)
 
     def blocks(self) -> list[tuple[int, int]]:
         """(start, stop) index ranges of the per-match blocks, in order."""
-        out = []
-        start = 0
-        while start < len(self.elements):
-            stop = start + self.elements[start].base.mu + 1
-            out.append((start, stop))
-            start = stop
-        return out
+        stops = list(itertools.accumulate(m.mu + 1 for m in self.matches))
+        return list(zip([0, *stops], stops))
 
 
 def build_basis(boxes, level, tree: BracketTree | None = None) -> ModuleBasis:
     boxes = BoxConfig.coerce(boxes)
     level = check_alcove(boxes.sizes, level)
     tree = resolve_tree(tree, boxes.count)
-    elements: list[OrientedLowerMatch] = []
     loads = budget_loads(boxes.sizes, tree)
+    matches: list[LowerMatch] = []
     for arcs, load in zip(kernels.enumerate_arc_sets(boxes.sizes), loads):
         if load <= level:
-            elements.extend(orientations(LowerMatch._from_kernel(boxes, arcs)))
-    return ModuleBasis(boxes=boxes, level=level, tree=tree, elements=tuple(elements))
+            matches.append(LowerMatch._from_kernel(boxes, arcs))
+    return ModuleBasis(boxes=boxes, level=level, tree=tree, matches=tuple(matches))
 
 
 Triple = tuple[int, int, int]
@@ -118,26 +119,28 @@ def action_matrices(basis: ModuleBasis) -> ActionMatrices:
     e: list[Triple] = []
     f: list[Triple] = []
     h: list[Triple] = []
-    for start, stop in basis.blocks():
-        mu = stop - start - 1
+    labels: list[tuple[str, int]] = []
+    idx = 0
+    for m in basis.matches:
+        mu = m.mu
+        key = canonical_key(m)
         for k in range(mu + 1):
-            idx = start + k
             if k > 0:
                 e.append((idx - 1, idx, k * (mu - k + 1)))
             if k < mu:
                 f.append((idx + 1, idx, 1))
             if mu != 2 * k:
                 h.append((idx, idx, mu - 2 * k))
-    labels = tuple((canonical_key(o.base), o.downs) for o in basis.elements)
-    return ActionMatrices(e=tuple(e), f=tuple(f), h=tuple(h), labels=labels)
+            labels.append((key, k))
+            idx += 1
+    return ActionMatrices(e=tuple(e), f=tuple(f), h=tuple(h), labels=tuple(labels))
 
 
 def isotypic_census(basis: ModuleBasis) -> dict[int, int]:
-    """Multiplicity of each highest weight: one copy of V_mu per block."""
+    """Multiplicity of each highest weight: one copy of V_mu per match."""
     out: dict[int, int] = {}
-    for start, _ in basis.blocks():
-        mu = basis.elements[start].base.mu
-        out[mu] = out.get(mu, 0) + 1
+    for m in basis.matches:
+        out[m.mu] = out.get(m.mu, 0) + 1
     return dict(sorted(out.items()))
 
 

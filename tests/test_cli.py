@@ -436,6 +436,13 @@ def test_render_index_out_of_range_exits_one(capsys):
     assert code == 1
 
 
+def test_render_takes_only_ascii_digits_as_an_index(capsys):
+    # "²" passes str.isdigit() but int() refuses it, so it is read as a key.
+    code, _, err = run(capsys, "render", "\u00b2", "--boxes", "1,1")
+    assert code == 1
+    assert "malformed match key '\u00b2'" in err
+
+
 def test_oversized_boxes_exit_one_at_once(capsys):
     # A 30M-vertex key used to build a 90M-column drawing until the process
     # was killed; every way in refuses more than 64 vertices before any work.

@@ -242,6 +242,21 @@ def test_component_census_json_rejects_total_components_that_disagrees_with_labe
         ComponentCensus.from_json_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"per_mu": {"-1": 1}, "total_components": 1, "total_dim": 0, "labels": ["x"]},
+         "highest weight"),
+        ({"per_mu": {"2": -1, "0": 2}, "total_components": 1, "total_dim": -1, "labels": ["a"]},
+         "component count"),
+    ],
+)
+def test_component_census_json_rejects_negative_weights_and_counts(obj, message):
+    # Both totals agree with per_mu, so only the sign checks refuse these.
+    with pytest.raises(ValueError, match=message):
+        ComponentCensus.from_json_dict(obj)
+
+
 def test_component_census_json_rejects_total_dim_that_disagrees_with_per_mu():
     obj = component_census((2, 1, 2), 3).to_json_dict()
     obj["total_dim"] -= 1

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from fusionkit import diagrams
+from fusionkit.bracketing import BracketTree, enumerate_trees
 from fusionkit.diagrams import canonical_key
 from fusionkit.module_action import (
     ActionMatrices,
@@ -41,6 +45,21 @@ def dense_sl2(mats: ActionMatrices) -> bool:
 def default_sweep():
     """Every (ws, level, basis) of the ``verify`` module suite at default bounds."""
     return list(_module_sweep(Bounds()))
+
+
+# The four boxes tuples the benchmark builds bases on, each at level 8.
+SL2_BASES = ((4, 4, 4, 4), (1, 2, 3, 4, 4), (2, 2, 3, 3, 4), (3, 3, 3, 3, 3))
+
+
+def walked_blocks(elements) -> list[tuple[int, int]]:
+    """Oracle: the block ranges found by walking the oriented elements."""
+    out = []
+    start = 0
+    while start < len(elements):
+        stop = start + elements[start].base.mu + 1
+        out.append((start, stop))
+        start = stop
+    return out
 
 
 def test_build_basis_examples():
@@ -201,3 +220,55 @@ def test_action_matrices_json_sorts_triples_and_drops_zeros():
     obj = mats.to_json_dict()
     obj["e"] = list(reversed(obj["e"])) + [[3, 3, 0]]
     assert ActionMatrices.from_json_dict(obj) == mats
+
+
+def test_build_basis_builds_no_oriented_match(monkeypatch):
+    built = []
+    original = diagrams.OrientedLowerMatch.__post_init__
+
+    def counting(self):
+        built.append(self.downs)
+        original(self)
+
+    monkeypatch.setattr(diagrams.OrientedLowerMatch, "__post_init__", counting)
+    bases = [build_basis(ws, 8) for ws in SL2_BASES] + [build_basis((2, 1, 2), 3)]
+    assert built == []
+    # The count is live: the oriented elements are built on access, one per vector.
+    assert len(bases[-1].elements) == len(built) == bases[-1].dim == 8
+
+
+def _sl2_bases_every_tree():
+    for ws in SL2_BASES:
+        for tree in enumerate_trees(len(ws)):
+            yield ws, 8, build_basis(ws, 8, tree)
+
+
+def test_matches_derive_the_oriented_basis(default_sweep):
+    for ws, level, basis in itertools.chain(default_sweep, _sl2_bases_every_tree()):
+        elements = basis.elements
+        blocks = basis.blocks()
+        assert basis.dim == len(elements), (ws, level, basis.tree)
+        assert blocks == walked_blocks(elements), (ws, level, basis.tree)
+        census: dict[int, int] = {}
+        for start, _ in blocks:
+            mu = elements[start].base.mu
+            census[mu] = census.get(mu, 0) + 1
+        assert isotypic_census(basis) == dict(sorted(census.items())), (ws, level, basis.tree)
+        labels = tuple((canonical_key(o.base), o.downs) for o in elements)
+        assert action_matrices(basis).labels == labels, (ws, level, basis.tree)
+
+
+@pytest.mark.parametrize(
+    "ws, comb, digest",
+    [
+        ((4, 4, 4, 4), "left_comb", "734d4a52e13176db75eaf583793495636b772887ad989b0e389f15c6ffe55a3c"),
+        ((4, 4, 4, 4), "right_comb", "da48148331cfe9e3b6f2879b82857bcc8cb75077d98d06b2760b916de0f67b5e"),
+        ((3, 3, 3, 3, 3), "left_comb", "9e7935a27639cbe966032b1a93c1502534682dacc4ce6ce66492015469952924"),
+        ((3, 3, 3, 3, 3), "right_comb", "a94e8a6277814d34b778a818928f0cca73c8990df6d01e1a9c57746e4e15d02c"),
+    ],
+)
+def test_action_matrix_json_is_pinned(ws, comb, digest):
+    tree = getattr(BracketTree, comb)(len(ws))
+    mats = action_matrices(build_basis(ws, 8, tree))
+    text = json.dumps(mats.to_json_dict(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
