@@ -24,8 +24,10 @@ from .diagrams import (
     OrientedLowerMatch,
     arc_census,
     canonical_key,
+    canonical_keys,
     enumerate_cm,
     enumerate_lcm,
+    listing_json,
     orientations,
     parse_canonical_key,
     validate,
@@ -77,6 +79,7 @@ __all__ = [
     "arc_census",
     "build_basis",
     "canonical_key",
+    "canonical_keys",
     "component_census",
     "count_truncated",
     "dim_hom_fusion",
@@ -91,6 +94,7 @@ __all__ = [
     "hw_from_rank",
     "isotypic_census",
     "kernel_profile",
+    "listing_json",
     "nl_condition",
     "orientations",
     "parse_bracketing",

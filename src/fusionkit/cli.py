@@ -50,7 +50,9 @@ def _tree_for(text: str | None, r: int):
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            # Two writes: ``text + "\n"`` would copy a whole listing once more.
+            handle.write(text)
+            handle.write("\n")
     else:
         print(text)
 
@@ -101,23 +103,20 @@ def cmd_matches(args) -> int:
         )
     if args.mu is not None:
         found = [m for m in found if m.mu == args.mu]
+    if args.format == "json":
+        _emit(args, diagrams.listing_json(found, oriented=args.oriented))
+        return 0
+    keys = diagrams.canonical_keys(found)
     if args.oriented:
-        if args.format == "json":
-            _emit(args, _dump([o.to_json_dict() for m in found for o in diagrams.orientations(m)]))
-        else:
-            lines = []
-            for m in found:
-                key = diagrams.canonical_key(m)
-                lines.extend(
-                    f"{key} downs={o.downs} weight={o.weight}" for o in diagrams.orientations(m)
-                )
-            _emit(args, "\n".join(lines) if lines else "(none)")
+        # One line per orientation (downs k in 0..mu, weight mu - 2k), built
+        # without an ``OrientedLowerMatch``.
+        lines = []
+        for key, m in zip(keys, found):
+            mu = m.mu
+            lines.extend([f"{key} downs={k} weight={mu - 2 * k}" for k in range(mu + 1)])
     else:
-        if args.format == "json":
-            _emit(args, _dump([m.to_json_dict() for m in found]))
-        else:
-            lines = [f"{diagrams.canonical_key(m)} mu={m.mu}" for m in found]
-            _emit(args, "\n".join(lines) if lines else "(none)")
+        lines = [f"{key} mu={m.mu}" for key, m in zip(keys, found)]
+    _emit(args, "\n".join(lines) if lines else "(none)")
     return 0
 
 

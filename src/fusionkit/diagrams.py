@@ -297,16 +297,84 @@ def canonical_key(m: LowerMatch) -> str:
     return f"{sizes}|{arcs}"
 
 
+class _Memo(dict):
+    """``memo[x]`` is ``fmt(x)``, formatted on the first lookup of ``x`` only."""
+
+    __slots__ = ("_fmt",)
+
+    def __init__(self, fmt):
+        super().__init__()
+        self._fmt = fmt
+
+    def __missing__(self, key):
+        text = self[key] = self._fmt(key)
+        return text
+
+
+# The listing writers below format each distinct box tuple, arc and mu once per
+# call and join those pieces per match: a listing holds tens of thousands of
+# matches but at most w(w-1)/2 distinct arcs.  The memos live for one call, so
+# nothing outlives it.  :func:`canonical_key` and ``to_json_dict`` with
+# ``json.dumps`` stay the single-match forms and the writers' test oracle.
+
+
+def canonical_keys(matches) -> list[str]:
+    """``[canonical_key(m) for m in matches]``."""
+    heads = _Memo(lambda sizes: ",".join(map(str, sizes)) + "|")
+    arc_text = _Memo(lambda arc: f"{arc[0]}-{arc[1]}").__getitem__
+    return [heads[m.boxes.sizes] + ",".join(map(arc_text, m.arcs)) for m in matches]
+
+
+def listing_json(matches, oriented: bool = False) -> str:
+    """The compact JSON array of the matches' ``to_json_dict``, or of their orientations'.
+
+    Equal to ``json.dumps([x.to_json_dict() for x in xs], separators=(",", ":"))``,
+    where ``xs`` are the matches, or with ``oriented`` each match's
+    :func:`orientations` in turn, which are not built.
+    """
+    heads = _Memo(lambda sizes: '{"boxes":[' + ",".join(map(str, sizes)) + '],"arcs":[')
+    arc_text = _Memo(lambda arc: f"[{arc[0]},{arc[1]}]").__getitem__
+    if oriented:
+        tails = _Memo(
+            lambda mu: [f'],"mu":{mu},"downs":{k},"weight":{mu - 2 * k}}}' for k in range(mu + 1)]
+        )
+        items = []
+        for m in matches:
+            body = heads[m.boxes.sizes] + ",".join(map(arc_text, m.arcs))
+            items.extend([body + tail for tail in tails[m.mu]])
+    else:
+        tails = _Memo(lambda mu: f'],"mu":{mu}}}')
+        items = [
+            heads[m.boxes.sizes] + ",".join(map(arc_text, m.arcs)) + tails[m.mu] for m in matches
+        ]
+    if not items:
+        return "[]"
+    # The brackets go on the end items: around the joined text they would copy it twice.
+    items[0] = "[" + items[0]
+    items[-1] += "]"
+    return ",".join(items)
+
+
+def _digits(text: str) -> int:
+    """The number a run of ASCII digits spells, the only form :func:`canonical_key` writes.
+
+    ``int`` alone would also take signs, spaces, underscores and other scripts' digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def parse_canonical_key(key: str) -> LowerMatch:
     """Inverse of :func:`canonical_key`; raises ValueError on malformed keys."""
     try:
         sizes_part, _, arcs_part = key.partition("|")
-        sizes = tuple(_as_weight(int(s), "box size") for s in sizes_part.split(","))
+        sizes = tuple(_digits(s) for s in sizes_part.split(","))
         arcs = []
         if arcs_part:
             for chunk in arcs_part.split(","):
                 p, q = chunk.split("-")
-                arcs.append((int(p), int(q)))
+                arcs.append((_digits(p), _digits(q)))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"malformed match key {key!r}") from exc
     # Outside the try: the vertex cap's message must reach the caller as it is.

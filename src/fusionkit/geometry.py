@@ -25,7 +25,7 @@ from .diagrams import (
     LowerMatch,
     _as_weight,
     arc_census,
-    canonical_key,
+    canonical_keys,
     enumerate_lcm,
 )
 
@@ -174,5 +174,5 @@ def component_census(boxes, level: int | None = None, tree: BracketTree | None =
         per_mu=dict(sorted(per_mu.items())),
         total_components=len(matches),
         total_dim=sum(m.mu + 1 for m in matches),
-        labels=tuple(canonical_key(m) for m in matches),
+        labels=tuple(canonical_keys(matches)),
     )

@@ -24,7 +24,7 @@ from .diagrams import (
     BoxConfig,
     LowerMatch,
     OrientedLowerMatch,
-    canonical_key,
+    canonical_keys,
     orientations,
 )
 
@@ -121,9 +121,8 @@ def action_matrices(basis: ModuleBasis) -> ActionMatrices:
     h: list[Triple] = []
     labels: list[tuple[str, int]] = []
     idx = 0
-    for m in basis.matches:
+    for key, m in zip(canonical_keys(basis.matches), basis.matches):
         mu = m.mu
-        key = canonical_key(m)
         for k in range(mu + 1):
             if k > 0:
                 e.append((idx - 1, idx, k * (mu - k + 1)))

@@ -15,7 +15,7 @@ import pytest
 import fusionkit
 from fusionkit import verify
 from fusionkit.cli import build_parser, main
-from fusionkit.diagrams import LowerMatch, enumerate_lcm
+from fusionkit.diagrams import LowerMatch, OrientedLowerMatch, enumerate_lcm
 from fusionkit.geometry import ComponentCensus, component_census
 from fusionkit.render import ascii_diagram, svg_diagram
 
@@ -443,6 +443,15 @@ def test_render_takes_only_ascii_digits_as_an_index(capsys):
     assert "malformed match key '\u00b2'" in err
 
 
+@pytest.mark.parametrize("key", ["\u0663", "+3|", " 3|", "1_0|"])
+def test_render_refuses_numbers_that_are_not_ascii_digit_runs(capsys, key):
+    # int() reads each as 3 or 10 and a box was drawn, but canonical_key
+    # never writes any of these texts.
+    code, out, err = run(capsys, "render", key)
+    assert (code, out) == (1, "")
+    assert f"malformed match key {key!r}" in err
+
+
 def test_oversized_boxes_exit_one_at_once(capsys):
     # A 30M-vertex key used to build a 90M-column drawing until the process
     # was killed; every way in refuses more than 64 vertices before any work.
@@ -558,6 +567,21 @@ BLOCK_LISTING_DIGESTS = [
 ]
 
 
+# sha256 digests recorded before listings were written from per-arc text:
+# the empty JSON listings, zero-size boxes in an oriented text listing, and
+# census labels.
+TEXT_WRITER_DIGESTS = [
+    (("matches", "-b", "2,2,2", "-m", "7", "-f", "json"), 0, "out",
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    (("matches", "-b", "2,2,2", "-m", "7", "--oriented", "-f", "json"), 0, "out",
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    (("matches", "-b", "0,3,0,1,2", "--oriented"), 0, "out",
+     "8fd5a3ddf779c68f6582b9add29d9dc85357387d841583487a677378302c8b80"),
+    (("components", "-b", "0,2,1,3", "-l", "3"), 0, "out",
+     "da6ac02a5e4b9381a7ac8f995d453d801259213d24361e4cd808c6732bc6ff32"),
+]
+
+
 def _assert_digests(capsys, cases):
     for argv, expected_code, stream, digest in cases:
         code, out, err = run(capsys, *argv)
@@ -580,6 +604,25 @@ def test_pruned_truncated_outputs_match_parent_digests(capsys):
 
 def test_block_listing_outputs_match_parent_digests(capsys):
     _assert_digests(capsys, BLOCK_LISTING_DIGESTS)
+
+
+def test_text_writer_outputs_match_parent_digests(capsys):
+    _assert_digests(capsys, TEXT_WRITER_DIGESTS)
+
+
+def test_oriented_listings_build_no_oriented_match(capsys, monkeypatch):
+    built = []
+    original = OrientedLowerMatch.__post_init__
+
+    def counting(self):
+        built.append(self.downs)
+        original(self)
+
+    monkeypatch.setattr(OrientedLowerMatch, "__post_init__", counting)
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "matches", "-b", "2,1,2", "--oriented", "-f", fmt)
+        assert code == 0 and out.count("downs") == 3 * 2 * 3
+    assert built == []
 
 
 def test_matches_out_file_holds_the_stdout_bytes(tmp_path, capsys):

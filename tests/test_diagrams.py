@@ -18,13 +18,16 @@ from fusionkit.diagrams import (
     OrientedLowerMatch,
     arc_census,
     canonical_key,
+    canonical_keys,
     enumerate_cm,
     enumerate_lcm,
+    listing_json,
     orientations,
     parse_canonical_key,
     validate,
 )
-from fusionkit.geometry import component_census
+from fusionkit.bracketing import enumerate_trees
+from fusionkit.geometry import component_census, truncated_matches
 from fusionkit.module_action import action_matrices, build_basis
 from fusionkit.ring import RingElement, dim_hom_tensor, ring_mul, weight_multiplicities
 from fusionkit.verify import _unit_box_matchings
@@ -298,7 +301,10 @@ def test_canonical_key_injective_and_parseable():
 
 
 def test_parse_canonical_key_rejects_garbage():
-    for bad in ["", "a,b|", "1,-1|", "1,1|2-1-3", "1,1|1+2", "2|1-2"]:
+    # From "\u0663" on, int() reads each number, but canonical_key writes
+    # only runs of ASCII digits.
+    for bad in ["", "a,b|", "1,-1|", "1,1|2-1-3", "1,1|1+2", "2|1-2",
+                "\u0663", "+3|", " 3|", "1_0|", "1,1|1- 2", "1,1|\u0661-2"]:
         with pytest.raises(ValueError):
             parse_canonical_key(bad)
 
@@ -352,3 +358,52 @@ def test_json_text_of_tuples_equals_that_of_lists():
                 seen += 1
     # 16 matches with 3*4*2*3 orientations, and 5 with 3*3*2.
     assert seen == 16 + 72 + 5 + 18
+
+
+# ------------------------------------------------------------- listing writers
+
+
+def _assert_writers_match_oracles(matches):
+    """The batch writers against the single-match forms they replace in listings."""
+    assert canonical_keys(matches) == [canonical_key(m) for m in matches]
+    plain = [m.to_json_dict() for m in matches]
+    assert listing_json(matches) == json.dumps(plain, separators=(",", ":"))
+    oriented = [o.to_json_dict() for m in matches for o in orientations(m)]
+    assert listing_json(matches, oriented=True) == json.dumps(oriented, separators=(",", ":"))
+
+
+def test_listing_writers_equal_their_oracles_on_every_small_box_tuple():
+    tuples = matches = 0
+    for rank in range(1, 5):
+        for sizes in itertools.product(range(4), repeat=rank):
+            found = enumerate_lcm(sizes)
+            _assert_writers_match_oracles(found)
+            tuples += 1
+            matches += len(found)
+    assert (tuples, matches) == (340, 2489)
+
+
+def test_listing_writers_equal_their_oracles_on_truncated_lists():
+    for sizes, level in [((2, 3, 2, 3), 4), ((3, 1, 2, 4, 4), 7), ((4, 4, 4, 4, 4), 6)]:
+        for tree in enumerate_trees(len(sizes)):
+            _assert_writers_match_oracles(truncated_matches(sizes, level, tree))
+
+
+def test_listing_writers_equal_their_oracles_on_filtered_empty_and_mixed_lists():
+    _assert_writers_match_oracles([m for m in enumerate_lcm((2, 3, 1, 2)) if m.mu == 2])
+    _assert_writers_match_oracles([m for m in enumerate_lcm((2, 2, 2)) if m.mu == 7])
+    _assert_writers_match_oracles([])
+    # The head memo is keyed by the box sizes, so the two tuples of rank 3
+    # must not share a head; the arc memo is keyed by the arc alone and
+    # serves every tuple.
+    mixed = [
+        *enumerate_lcm((2, 2, 2)),
+        *enumerate_lcm((1, 2, 0, 3)),
+        *enumerate_lcm((2, 1, 3)),
+        *enumerate_lcm((2, 2, 2))[::-1],
+    ]
+    _assert_writers_match_oracles(mixed)
+    assert canonical_keys(mixed)[0] == "2,2,2|" and listing_json([]) == "[]"
+    # Arcs given out of order and as lists, normalized by the constructor.
+    m = LowerMatch((1, 2, 1), [[4, 3], [1, 2]])
+    _assert_writers_match_oracles([m, LowerMatch((1, 2, 1)), m])
