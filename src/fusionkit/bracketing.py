@@ -127,9 +127,9 @@ def _left_comb(r: int) -> BracketTree:
 def parse_bracketing(text: str, r: int) -> BracketTree:
     """Parse ``text`` into a bracketing tree with leaves 1..r in order.
 
-    Leaves are single digits (enumeration is capped at eight factors anyway),
-    so no valid text nests deeper than 8 and a deeper one is refused at its
-    9th open bracket; whitespace is ignored.
+    Leaves are single ASCII digits 1-9 (enumeration stops at eight factors
+    anyway), so no valid text nests deeper than 8 and a deeper one is refused
+    at its 9th open bracket; whitespace is ignored.
     """
     r = operator.index(r)
     pos = 0
@@ -157,7 +157,7 @@ def parse_bracketing(text: str, r: int) -> BracketTree:
                 raise ValueError(f"expected ')' at position {pos} in {text!r}")
             pos += 1
             return BracketTree.join(left, right)
-        if ch.isdigit() and ch != "0":
+        if "1" <= ch <= "9":
             pos += 1
             return BracketTree.leaf(int(ch))
         raise ValueError(f"unexpected character {ch!r} at position {pos} in {text!r}")
@@ -252,7 +252,7 @@ def search_budget(sizes: tuple[int, ...], level: int, tree: BracketTree):
     It is ``(level, scopes)``, holding the operations of ``tree`` that end
     before the last vertex and span more than ``level`` vertices: only those
     can fail on a prefix the search has passed.  The others, the root among
-    them, are left to :func:`satisfies_truncation`, which gives the verdict.
+    them, are left to :func:`satisfies_truncation`.  None selects the block listing.
     """
     _, prefix = kernels.layout(sizes)
     scopes = tuple(

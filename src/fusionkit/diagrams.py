@@ -194,33 +194,28 @@ class OrientedLowerMatch:
 def validate(boxes, arcs) -> bool:
     """True iff ``arcs`` is a lower crossingless match on ``boxes``.
 
-    ``arcs`` are pairs ``(p, q)`` with ``p < q``, in any order.  They must use
-    each vertex once, join two different boxes, not cross, and leave no
-    unmatched vertex under an arc.
+    ``arcs`` are pairs ``(p, q)`` with ``p < q``, in any order, using each
+    vertex at most once.  A walk along the line then meets each vertex in a
+    move of the kernel's search: open an arc, close the innermost open arc
+    onto a different box, or leave the vertex unmatched with no arc open.
     """
     boxes = BoxConfig.coerce(boxes)
-    arcs = sorted(arcs)
-    w = boxes.total
-    seen: set[int] = set()
+    box_of = boxes._layout[0]
+    partner: dict[int, int] = {}
     for p, q in arcs:
-        if not (1 <= p < q <= w):
+        if not 1 <= p < q <= boxes.total or p in partner or q in partner:
             return False
-        if p in seen or q in seen:
-            return False
-        seen.add(p)
-        seen.add(q)
-        if boxes.box_of(p) == boxes.box_of(q):
-            return False
-    for i, (p, q) in enumerate(arcs):
-        for p2, q2 in arcs[i + 1 :]:
-            if p < p2 < q < q2:
+        partner[p], partner[q] = q, p
+    stack: list[int] = []
+    for v in range(1, boxes.total + 1):
+        u = partner.get(v, v)  # v itself when unmatched
+        if u > v:
+            stack.append(v)
+        elif u == v:
+            if stack:
                 return False
-    for u in range(1, w + 1):
-        if u in seen:
-            continue
-        for p, q in arcs:
-            if p < u < q:
-                return False
+        elif not stack or stack.pop() != u or box_of[u] == box_of[v]:
+            return False
     return True
 
 
@@ -231,15 +226,10 @@ def enumerate_lcm(boxes, budget=None) -> list[LowerMatch]:
     arc set first.  A ``budget`` from ``bracketing.search_budget`` keeps only
     the matches whose finished operations fit the level: every match that
     passes the budget and some that do not, so ``satisfies_truncation`` still
-    gives the verdict.
+    gives the verdict.  Only the untruncated arc sets are cached, in the kernel.
     """
     boxes = BoxConfig.coerce(boxes)
-    # Without a budget, call with the sizes alone: that is the one cache entry
-    # every untruncated caller shares.
-    if budget is None:
-        arc_sets = kernels.enumerate_arc_sets(boxes.sizes)
-    else:
-        arc_sets = kernels.enumerate_arc_sets(boxes.sizes, budget)
+    arc_sets = kernels.enumerate_arc_sets(boxes.sizes, budget)
     return [LowerMatch._from_kernel(boxes, arcs) for arcs in arc_sets]
 
 

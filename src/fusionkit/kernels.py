@@ -25,11 +25,11 @@ could only check scopes inside a closed suffix, and those of the default left
 comb all start at box 1, so a budget keeps the search.  Given no scope, the
 search lists every match: it is the blocks' test oracle.
 
-Results are cached: enumeration is pure and canonical.  Two caps refuse work
-before either algorithm starts: ``MAX_VERTICES`` bounds the search's
-recursion depth, and ``MAX_MATCHES`` bounds the size of the result, counted
-beforehand by a Clebsch-Gordan fold; ``(4,)*10``, just under it, lists in
-about 10 s.
+Only the untruncated listing is cached, per box tuple; no budgeted query
+repeats, so a search is not.  Two caps refuse work before either algorithm
+starts: ``MAX_VERTICES`` bounds the search's recursion depth, and
+``MAX_MATCHES`` bounds the size of the result, counted beforehand by a
+Clebsch-Gordan fold; ``(4,)*10``, just under it, lists in about 10 s.
 """
 
 from __future__ import annotations
@@ -87,7 +87,26 @@ def load(sizes: tuple[int, ...], arcs, scopes) -> int:
     return result
 
 
+def _checked(sizes) -> tuple[int, ...]:
+    """``sizes`` as ints, refused unless nonnegative and within both caps."""
+    sizes = [int(s) for s in sizes]
+    if any(s < 0 for s in sizes):
+        raise ValueError(f"box sizes must be nonnegative, got {sizes}")
+    if sum(sizes) > MAX_VERTICES:
+        raise ValueError(f"enumeration supports at most {MAX_VERTICES} vertices, got {sum(sizes)}")
+    count = _match_count(sizes)
+    if count > MAX_MATCHES:
+        raise ValueError(f"enumeration supports at most {MAX_MATCHES} matches, got {count}")
+    return tuple(sizes)
+
+
 @lru_cache(maxsize=None)
+def _listing(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every arc set on ``sizes`` from blocks; the caps are checked on a miss only."""
+    box_of, prefix = layout(_checked(sizes))
+    return _blocks(prefix[-1], box_of)
+
+
 def enumerate_arc_sets(
     sizes: tuple[int, ...], budget: tuple[int, tuple[tuple[int, int, int, int], ...]] | None = None
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -100,22 +119,13 @@ def enumerate_arc_sets(
     in box indices as in ``bracketing``.  Only the arc sets that fit the level
     at every given scope are kept, a sub-list of the full result.  The caps
     apply to the full result either way.  Without a budget the list is built
-    from blocks (:func:`_blocks`); with one, the search finds it.
+    from blocks and cached (:func:`_listing`); with one, the search finds it.
     """
-    sizes = [int(s) for s in sizes]
-    if any(s < 0 for s in sizes):
-        raise ValueError(f"box sizes must be nonnegative, got {sizes}")
-    w = sum(sizes)
-    if w > MAX_VERTICES:
-        raise ValueError(f"enumeration supports at most {MAX_VERTICES} vertices, got {w}")
-    count = _match_count(sizes)
-    if count > MAX_MATCHES:
-        raise ValueError(f"enumeration supports at most {MAX_MATCHES} matches, got {count}")
-
-    key = tuple(sizes)
-    box_of, prefix = layout(key)
     if budget is None:
-        return _blocks(w, box_of)
+        return _listing(sizes)
+    key = _checked(sizes)
+    box_of, prefix = layout(key)
+    w = prefix[-1]
     # The scopes to count on reaching each vertex: those whose last vertex precedes it.
     level, scopes = budget
     due: dict[int, list[tuple[int, int, int, int]]] = {}

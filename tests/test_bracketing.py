@@ -28,7 +28,7 @@ from fusionkit.bracketing import (
     search_budget,
 )
 from fusionkit.diagrams import LowerMatch, enumerate_lcm, orientations
-from fusionkit.geometry import component_census
+from fusionkit.geometry import component_census, truncated_matches
 from fusionkit.module_action import build_basis
 from fusionkit.ring import dim_hom_fusion
 
@@ -118,6 +118,20 @@ def test_parse_bracketing_accepts_whitespace_and_single_leaf():
 )
 def test_parse_bracketing_rejects(text, r):
     with pytest.raises(ValueError):
+        parse_bracketing(text, r)
+
+
+@pytest.mark.parametrize(
+    "text,r,position",
+    [
+        ("((\u0661\u0662)\u0663)", 3, 2),  # Arabic-Indic digits one, two, three
+        ("((12)\u00b2)", 3, 5),  # superscript two, which int() refuses
+        ("(\uff11\uff12)", 2, 1),  # fullwidth digits
+        ("(1\u0662)", 2, 2),  # an ASCII leaf beside an Arabic-Indic two
+    ],
+)
+def test_parse_bracketing_takes_only_ascii_digits_as_leaves(text, r, position):
+    with pytest.raises(ValueError, match=f"unexpected character .* at position {position} "):
         parse_bracketing(text, r)
 
 
@@ -508,7 +522,7 @@ def test_pruned_search_builds_few_candidates_for_the_reference_query():
 
 
 def test_untruncated_callers_share_one_kernel_cache_entry_per_box_tuple():
-    kernels.enumerate_arc_sets.cache_clear()
+    kernels._listing.cache_clear()
     budget_loads.cache_clear()
     configs = [(2, 2), (1, 2, 1), (2, 1, 2, 1), (3, 0, 2)]
     for n, ws in enumerate(configs, start=1):
@@ -518,7 +532,30 @@ def test_untruncated_callers_share_one_kernel_cache_entry_per_box_tuple():
         budget_loads(ws, tree)
         # A truncated census whose operations all end at the last vertex.
         component_census(ws, max(ws), BracketTree.right_comb(len(ws)))
-        assert kernels.enumerate_arc_sets.cache_info().currsize == n, ws
+        assert kernels._listing.cache_info().currsize == n, ws
+
+
+def test_pruned_searches_leave_the_kernel_cache_unchanged():
+    kernels._listing.cache_clear()
+    enumerate_lcm((1, 1))
+    pruned = 0
+    for sizes, levels in (((2, 2, 2), (2, 3)), ((2, 2, 2, 2), (2, 3, 4, 5)), ((3, 1, 2), (3,))):
+        for tree in enumerate_trees(len(sizes)):
+            for level in levels:
+                budget = search_budget(sizes, level, tree)
+                if budget is None:
+                    continue
+                pruned += 1
+                for ask in (
+                    lambda: truncated_matches(sizes, level, tree),
+                    lambda: component_census(sizes, level, tree),
+                    lambda: kernels.enumerate_arc_sets(sizes, budget),
+                ):
+                    first = ask()
+                    assert ask() == first
+                    assert kernels._listing.cache_info().currsize == 1, (sizes, tree, level)
+    assert pruned == 15
+    assert kernels._listing.cache_info().hits == 0
 
 
 # ----------------------------------------------------------- closed-form counts

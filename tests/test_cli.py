@@ -94,6 +94,13 @@ def test_deeply_nested_bracketing_is_a_usage_error(capsys):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("text", ["((\u0661\u0662)\u0663)", "((12)\u00b2)"])
+def test_bracketing_with_non_ascii_digits_is_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "fuse", "-w", "1,1,1", "-l", "2", "-s", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --bracketing: unexpected character")
+
+
 def test_fuse_rejects_svg_format(capsys):
     code, _, _ = run(capsys, "fuse", "--weights", "1,1", "--level", "1", "--format", "svg")
     assert code == 2

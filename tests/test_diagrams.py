@@ -30,7 +30,7 @@ from fusionkit.bracketing import enumerate_trees
 from fusionkit.geometry import component_census, truncated_matches
 from fusionkit.module_action import action_matrices, build_basis
 from fusionkit.ring import RingElement, dim_hom_tensor, ring_mul, weight_multiplicities
-from fusionkit.verify import _unit_box_matchings
+from fusionkit.verify import _all_partial_matchings, _unit_box_matchings
 
 # ----------------------------------------------------------- brute-force oracle
 
@@ -89,6 +89,75 @@ def test_validate_rejects_crossings_and_reuse():
     assert validate((1, 1), ((1, 2), (1, 2))) is False
     assert validate((1, 1), ((0, 2),)) is False
     assert validate((1, 1), ((1, 5),)) is False
+
+
+def validate_pairwise(boxes, arcs) -> bool:
+    """:func:`validate` by pairwise loops, its oracle: range, reuse and box checks
+    per arc, then every pair of arcs for a crossing and every unmatched vertex
+    against every arc."""
+    boxes = BoxConfig.coerce(boxes)
+    arcs = sorted(arcs)
+    w = boxes.total
+    seen: set[int] = set()
+    for p, q in arcs:
+        if not (1 <= p < q <= w):
+            return False
+        if p in seen or q in seen:
+            return False
+        seen.add(p)
+        seen.add(q)
+        if boxes.box_of(p) == boxes.box_of(q):
+            return False
+    for i, (p, q) in enumerate(arcs):
+        for p2, q2 in arcs[i + 1 :]:
+            if p < p2 < q < q2:
+                return False
+    for u in range(1, w + 1):
+        if u in seen:
+            continue
+        for p, q in arcs:
+            if p < u < q:
+                return False
+    return True
+
+
+def test_validate_walk_equals_the_pairwise_oracle_on_every_partial_matching():
+    # Crossing ones included: every partial matching of 1..w, not only the valid ones.
+    matchings = {w: list(_all_partial_matchings(w)) for w in range(9)}
+    assert [len(matchings[w]) for w in range(9)] == [1, 1, 2, 4, 10, 26, 76, 232, 764]
+    checked = accepted = 0
+    for r in range(1, 5):
+        for ws in itertools.product(range(0, 4), repeat=r):
+            if sum(ws) > 8:
+                continue
+            for arcs in matchings[sum(ws)]:
+                # validate takes the arcs in any order; the walk must not depend on it.
+                for given_arcs in (arcs, arcs[::-1]):
+                    expected = validate_pairwise(ws, given_arcs)
+                    assert validate(ws, given_arcs) is expected, (ws, given_arcs)
+                    checked += 1
+                    accepted += expected
+    # Both verdicts occur, so neither version can pass by answering one way.
+    assert 0 < accepted < checked
+
+
+def test_validate_walk_equals_the_pairwise_oracle_on_malformed_arcs():
+    cases = []
+    for ws in ((1, 1), (2, 1), (1, 2, 1), (2, 2), (1, 1, 1, 1), (0, 3, 1)):
+        w = sum(ws)
+        pairs = [(p, q) for p in range(-1, w + 3) for q in range(-1, w + 3)]
+        # Out of range, p >= q, or fine on its own.
+        cases.extend((ws, (arc,)) for arc in pairs)
+        # A vertex used twice, or a malformed arc beside any other.
+        cases.extend(
+            (ws, (a, b)) for a in pairs for b in pairs if len({*a, *b}) < 4 or a[0] >= a[1]
+        )
+    rejected = 0
+    for ws, arcs in cases:
+        expected = validate_pairwise(ws, arcs)
+        assert validate(ws, arcs) is expected, (ws, arcs)
+        rejected += not expected
+    assert rejected > len(cases) // 2
 
 
 # ------------------------------------------------------- validity by construction
