@@ -27,9 +27,11 @@ from .diagrams import (
     canonical_keys,
     enumerate_cm,
     enumerate_lcm,
+    listing,
     listing_json,
     orientations,
     parse_canonical_key,
+    untruncated_listing,
     validate,
 )
 from .geometry import (
@@ -94,6 +96,7 @@ __all__ = [
     "hw_from_rank",
     "isotypic_census",
     "kernel_profile",
+    "listing",
     "listing_json",
     "nl_condition",
     "orientations",
@@ -107,6 +110,7 @@ __all__ = [
     "ring_mul",
     "satisfies_truncation",
     "tensor_cg",
+    "untruncated_listing",
     "validate",
     "verify_sl2",
     "weight_multiplicities",

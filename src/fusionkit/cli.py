@@ -22,10 +22,21 @@ class UsageError(Exception):
     """Bad flag usage detected after argparse (exit code 2)."""
 
 
+def _int(text: str) -> int:
+    """An optional leading ``-`` and a run of ASCII digits, as keys and bracketings spell numbers.
+
+    ``int`` alone would also take other scripts' digits, underscores, ``+`` and spaces.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
+        return [_int(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
@@ -33,8 +44,8 @@ def _level_or_none(text: str) -> int | None:
     if text.strip().lower() == "none":
         return None
     try:
-        return int(text)
-    except ValueError:
+        return _int(text)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected an integer level or 'none', got {text!r}")
 
 
@@ -94,29 +105,14 @@ def cmd_matches(args) -> int:
     _check_mu(args.mu)
     boxes = diagrams.BoxConfig(tuple(args.boxes))
     if args.level is None:
-        found = diagrams.enumerate_lcm(boxes)
-    else:
-        # The alcove is checked first, so its error wins over a bad --bracketing.
-        bracketing.check_alcove(boxes.sizes, args.level)
-        found = geometry.truncated_matches(
-            boxes, args.level, _tree_for(args.bracketing, boxes.count)
-        )
+        _emit(args, diagrams.untruncated_listing(boxes, args.format, args.oriented, args.mu))
+        return 0
+    # The alcove is checked first, so its error wins over a bad --bracketing.
+    bracketing.check_alcove(boxes.sizes, args.level)
+    found = geometry.truncated_matches(boxes, args.level, _tree_for(args.bracketing, boxes.count))
     if args.mu is not None:
         found = [m for m in found if m.mu == args.mu]
-    if args.format == "json":
-        _emit(args, diagrams.listing_json(found, oriented=args.oriented))
-        return 0
-    keys = diagrams.canonical_keys(found)
-    if args.oriented:
-        # One line per orientation (downs k in 0..mu, weight mu - 2k), built
-        # without an ``OrientedLowerMatch``.
-        lines = []
-        for key, m in zip(keys, found):
-            mu = m.mu
-            lines.extend([f"{key} downs={k} weight={mu - 2 * k}" for k in range(mu + 1)])
-    else:
-        lines = [f"{key} mu={m.mu}" for key, m in zip(keys, found)]
-    _emit(args, "\n".join(lines) if lines else "(none)")
+    _emit(args, diagrams.listing(found, args.format, args.oriented))
     return 0
 
 
@@ -198,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--boxes", "-b", type=_int_list, required=True,
                            help="comma-separated box sizes")
         if level == "required":
-            p.add_argument("--level", "-l", type=int, required=True, help="fusion level")
+            p.add_argument("--level", "-l", type=_int, required=True, help="fusion level")
         elif level == "optional":
             p.add_argument("--level", "-l", type=_level_or_none, default=None,
                            help="fusion level; omit or pass 'none' for the untruncated product")
@@ -207,19 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse", help="level fusion product of simple modules")
     add_common(p, weights=True, level="required")
-    p.add_argument("--mu", "-m", type=int, default=None, help="report only this multiplicity")
+    p.add_argument("--mu", "-m", type=_int, default=None, help="report only this multiplicity")
     p.add_argument("--bracketing", "-s", default=None,
                    help="bracketing expression such as '((12)3)'; default is the left comb")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("tensor", help="plain tensor product of simple modules")
     add_common(p, weights=True)
-    p.add_argument("--mu", "-m", type=int, default=None, help="report only this multiplicity")
+    p.add_argument("--mu", "-m", type=_int, default=None, help="report only this multiplicity")
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("matches", help="list crossingless matches")
     add_common(p, boxes=True, level="optional")
-    p.add_argument("--mu", "-m", type=int, default=None, help="restrict to this unmatched count")
+    p.add_argument("--mu", "-m", type=_int, default=None, help="restrict to this unmatched count")
     p.add_argument("--bracketing", "-s", default=None,
                    help="bracketing for the level budget (needs --level)")
     p.add_argument("--oriented", action="store_true", help="list orientations instead")
@@ -234,16 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run exhaustive property sweeps")
     p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
     bounds = verify.Bounds()
-    p.add_argument("--max-rank", type=int, default=bounds.max_rank, help="largest number of factors")
-    p.add_argument("--max-weight", type=int, default=bounds.max_weight, help="largest highest weight")
-    p.add_argument("--max-level", type=int, default=bounds.max_level, help="largest fusion level")
+    p.add_argument("--max-rank", type=_int, default=bounds.max_rank, help="largest number of factors")
+    p.add_argument("--max-weight", type=_int, default=bounds.max_weight, help="largest highest weight")
+    p.add_argument("--max-level", type=_int, default=bounds.max_level, help="largest fusion level")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw a match as text art or SVG")
     p.add_argument("match", help="canonical key like '1,1|1-2', or an index into --boxes")
     p.add_argument("--boxes", "-b", type=_int_list, default=None,
                    help="box sizes (required when rendering by index)")
-    p.add_argument("--downs", type=int, default=None,
+    p.add_argument("--downs", type=_int, default=None,
                    help="orient this many rightmost unmatched vertices down")
     p.add_argument("--format", "-f", choices=("text", "svg"), default="text")
     p.add_argument("--out", "-o", default=None, help="write output to a file")

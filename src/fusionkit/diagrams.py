@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import kernels
 
@@ -301,48 +302,131 @@ class _Memo(dict):
         return text
 
 
-# The listing writers below format each distinct box tuple, arc and mu once per
-# call and join those pieces per match: a listing holds tens of thousands of
-# matches but at most w(w-1)/2 distinct arcs.  The memos live for one call, so
-# nothing outlives it.  :func:`canonical_key` and ``to_json_dict`` with
-# ``json.dumps`` stay the single-match forms and the writers' test oracle.
+class _Form(NamedTuple):
+    """One listing format, spelled once for every writer below.
+
+    A match's item is its head, its arcs joined by ``","`` and a tail; a
+    listing joins the items by ``sep`` inside ``brackets``.  ``mark`` occurs
+    exactly once in the text of an arc.
+    """
+
+    head: Callable[[tuple[int, ...]], str]
+    arc: Callable[[int, int], str]
+    mark: str
+    tail: Callable[[int], str]
+    oriented_tail: Callable[[int, int], str]
+    sep: str
+    brackets: tuple[str, str]
+    empty: str
+
+    def tails(self, mu: int, oriented: bool) -> list[str]:
+        """The tails of a match's items: one, or with ``oriented`` one per down count."""
+        if oriented:
+            return [self.oriented_tail(mu, k) for k in range(mu + 1)]
+        return [self.tail(mu)]
+
+    def joined(self, items: list[str]) -> str:
+        if not items:
+            return self.empty
+        # The brackets go on the end items: around the joined text they would copy it twice.
+        items[0] = self.brackets[0] + items[0]
+        items[-1] += self.brackets[1]
+        return self.sep.join(items)
+
+
+_FORMS = {
+    "text": _Form(
+        head=lambda sizes: ",".join(map(str, sizes)) + "|",
+        arc=lambda p, q: f"{p}-{q}",
+        mark="-",
+        tail=lambda mu: f" mu={mu}",
+        oriented_tail=lambda mu, k: f" downs={k} weight={mu - 2 * k}",
+        sep="\n",
+        brackets=("", ""),
+        empty="(none)",
+    ),
+    "json": _Form(
+        head=lambda sizes: '{"boxes":[' + ",".join(map(str, sizes)) + '],"arcs":[',
+        arc=lambda p, q: f"[{p},{q}]",
+        mark="[",
+        tail=lambda mu: f'],"mu":{mu}}}',
+        oriented_tail=lambda mu, k: f'],"mu":{mu},"downs":{k},"weight":{mu - 2 * k}}}',
+        sep=",",
+        brackets=("[", "]"),
+        empty="[]",
+    ),
+}
+
+
+# The listing writers of match lists format each distinct box tuple, arc and
+# mu once per call and join those pieces per match: a listing holds tens of
+# thousands of matches but at most w(w-1)/2 distinct arcs.  The memos live for
+# one call, so nothing outlives it.  :func:`canonical_key` and ``to_json_dict``
+# with ``json.dumps`` stay the single-match forms and the writers' test oracle.
 
 
 def canonical_keys(matches) -> list[str]:
     """``[canonical_key(m) for m in matches]``."""
-    heads = _Memo(lambda sizes: ",".join(map(str, sizes)) + "|")
-    arc_text = _Memo(lambda arc: f"{arc[0]}-{arc[1]}").__getitem__
+    form = _FORMS["text"]
+    heads = _Memo(form.head)
+    arc_text = _Memo(lambda arc: form.arc(*arc)).__getitem__
     return [heads[m.boxes.sizes] + ",".join(map(arc_text, m.arcs)) for m in matches]
 
 
-def listing_json(matches, oriented: bool = False) -> str:
-    """The compact JSON array of the matches' ``to_json_dict``, or of their orientations'.
+def listing(matches, fmt: str = "text", oriented: bool = False) -> str:
+    """The ``fusionkit matches`` listing of ``matches`` in ``fmt``, ``"text"`` or ``"json"``.
 
-    Equal to ``json.dumps([x.to_json_dict() for x in xs], separators=(",", ":"))``,
+    A text listing has a line per match, its :func:`canonical_key` and
+    ``mu=``, or with ``oriented`` a line per orientation, with ``downs=`` and
+    ``weight=``, and reads ``(none)`` when empty.  A JSON listing equals
+    ``json.dumps([x.to_json_dict() for x in xs], separators=(",", ":"))``,
     where ``xs`` are the matches, or with ``oriented`` each match's
     :func:`orientations` in turn, which are not built.
     """
-    heads = _Memo(lambda sizes: '{"boxes":[' + ",".join(map(str, sizes)) + '],"arcs":[')
-    arc_text = _Memo(lambda arc: f"[{arc[0]},{arc[1]}]").__getitem__
+    form = _FORMS[fmt]
+    heads = _Memo(form.head)
+    arc_text = _Memo(lambda arc: form.arc(*arc)).__getitem__
+    tails = _Memo(lambda mu: form.tails(mu, oriented))
+    items: list[str] = []
+    for m in matches:
+        body = heads[m.boxes.sizes] + ",".join(map(arc_text, m.arcs))
+        items.extend([body + tail for tail in tails[m.mu]])
+    return form.joined(items)
+
+
+def listing_json(matches, oriented: bool = False) -> str:
+    """``listing(matches, "json", oriented)``, the compact JSON array of the matches."""
+    return listing(matches, "json", oriented)
+
+
+def untruncated_listing(boxes, fmt: str = "text", oriented: bool = False, mu=None) -> str:
+    """``listing(enumerate_lcm(boxes), fmt, oriented)``, or of ``enumerate_cm(boxes, mu)``.
+
+    Written from the kernel's block texts (``kernels.arc_texts``): each match
+    arrives as the text of its arcs, each preceded by ``","``, so no
+    :class:`LowerMatch` is built and no arc text is joined per match.  The
+    count of ``mark`` in that text is the match's arc count, which picks its
+    tails.  Nothing is cached.
+    """
+    form = _FORMS[fmt]
+    boxes = BoxConfig.coerce(boxes)
+    if mu is not None:
+        mu = _as_weight(mu)
+    texts = kernels.arc_texts(boxes.sizes, lambda p, q: "," + form.arc(p, q))
+    head = form.head(boxes.sizes)
+    mark = form.mark
+    total = boxes.total
+    # The tails of a match with n arcs, whose mu is total - 2n.
+    tails = [form.tails(total - 2 * n, oriented) for n in range(total // 2 + 1)]
+    if mu is not None:
+        texts = [t for t in texts if total - 2 * t.count(mark) == mu]
     if oriented:
-        tails = _Memo(
-            lambda mu: [f'],"mu":{mu},"downs":{k},"weight":{mu - 2 * k}}}' for k in range(mu + 1)]
-        )
-        items = []
-        for m in matches:
-            body = heads[m.boxes.sizes] + ",".join(map(arc_text, m.arcs))
-            items.extend([body + tail for tail in tails[m.mu]])
+        items = [f"{head}{t[1:]}{tail}" for t in texts for tail in tails[t.count(mark)]]
     else:
-        tails = _Memo(lambda mu: f'],"mu":{mu}}}')
-        items = [
-            heads[m.boxes.sizes] + ",".join(map(arc_text, m.arcs)) + tails[m.mu] for m in matches
-        ]
-    if not items:
-        return "[]"
-    # The brackets go on the end items: around the joined text they would copy it twice.
-    items[0] = "[" + items[0]
-    items[-1] += "]"
-    return ",".join(items)
+        ends = [end for end, in tails]
+        items = [f"{head}{t[1:]}{ends[t.count(mark)]}" for t in texts]
+    del texts  # its strings can go before the join copies the items
+    return form.joined(items)
 
 
 def _digits(text: str) -> int:

@@ -8,9 +8,11 @@ The blocks come from the graphical calculus's decomposition of a lower
 match: it splits at its unmatched vertices and its outermost arcs, and an
 outermost arc (i, k) encloses a perfect matching of i+1..k-1, because no
 unmatched vertex may sit under an arc.  So the perfect matchings of each
-interval and the matches of each suffix are listed once, as sorted arc
-tuples, and a match is a concatenation of such tuples sharing one ``(i, k)``
-object per arc.  Each list is built in canonical order, so nothing is sorted.
+interval and the matches of each suffix are listed once, and a match is a
+concatenation of two such blocks: of arc tuples sharing one ``(i, k)`` object
+per arc for :func:`enumerate_arc_sets`, or of arc texts for
+:func:`arc_texts`, from which ``diagrams`` writes untruncated listings.  Each
+list is built in canonical order, so nothing is sorted.
 
 The search walks the vertex line left to right keeping a stack of open arcs.
 Three moves are possible at each vertex: leave it unmatched (only when no arc
@@ -25,11 +27,13 @@ could only check scopes inside a closed suffix, and those of the default left
 comb all start at box 1, so a budget keeps the search.  Given no scope, the
 search lists every match: it is the blocks' test oracle.
 
-Only the untruncated listing is cached, per box tuple; no budgeted query
-repeats, so a search is not.  Two caps refuse work before either algorithm
-starts: ``MAX_VERTICES`` bounds the search's recursion depth, and
-``MAX_MATCHES`` bounds the size of the result, counted beforehand by a
-Clebsch-Gordan fold; ``(4,)*10``, just under it, lists in about 10 s.
+Only the untruncated listing of arc tuples is cached, per box tuple; no
+budgeted query repeats, so a search is not, and neither are arc texts, which
+serve one listing each.
+Two caps refuse work before either algorithm starts: ``MAX_VERTICES`` bounds
+the search's recursion depth, and ``MAX_MATCHES`` bounds the size of the
+result, counted beforehand by a Clebsch-Gordan fold; ``(4,)*10``, just under
+it, is built in about 0.6 s as arc tuples and 0.3 s as arc texts.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from functools import lru_cache
 
 MAX_VERTICES = 64
 # The largest listing the benchmark makes has 38,165 matches; (4,)*10 has
-# 856,945 and lists in about 10 s; (4,)*16 has 10,651,488,789 and would never
-# finish.
+# 856,945, and ``fusionkit matches`` writes them in about 1.4 s; (4,)*16 has
+# 10,651,488,789 and would never finish.
 MAX_MATCHES = 10**6
 
 
@@ -104,7 +108,19 @@ def _checked(sizes) -> tuple[int, ...]:
 def _listing(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Every arc set on ``sizes`` from blocks; the caps are checked on a miss only."""
     box_of, prefix = layout(_checked(sizes))
-    return _blocks(prefix[-1], box_of)
+    return tuple(_blocks(prefix[-1], box_of, lambda a, b: ((a, b),)))
+
+
+def arc_texts(sizes, arc_text) -> list[str]:
+    """The text of every match on ``sizes``, in canonical order, uncached.
+
+    ``arc_text(p, q)`` is the text of the arc (p, q), separator first, such
+    as ``f",{p}-{q}"``; a match's text is its arcs' texts in order, so it is
+    ``""`` for the empty match and starts with the separator otherwise.  The
+    caps are checked first, as for :func:`enumerate_arc_sets`.
+    """
+    box_of, prefix = layout(_checked(sizes))
+    return _blocks(prefix[-1], box_of, arc_text)
 
 
 def enumerate_arc_sets(
@@ -160,8 +176,13 @@ def enumerate_arc_sets(
     return tuple(out)
 
 
-def _blocks(w: int, box_of: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _blocks(w: int, box_of: tuple[int, ...], unit) -> list:
     """Every match on vertices 1..w, in canonical order, from memoized blocks.
+
+    A match is a sequence whose ``+`` concatenates: ``unit(a, b)`` is the
+    one-arc match (a, b) and ``unit(0, 0)[:0]`` the empty one, so arc tuples
+    and arc texts come from this one recurrence.  ``unit`` is called once per
+    arc, and every match that holds the arc shares its value.
 
     ``closed[a, k]`` lists the perfect matchings of a..k that join a to k,
     ``perfect[a, b]`` all perfect matchings of a..b (only the one empty
@@ -171,7 +192,8 @@ def _blocks(w: int, box_of: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...
     tail; in ``suffix[i]`` the empty match precedes them and the matches that
     leave i unmatched follow.  So every list is canonical as it is built.
     """
-    empty = [()]
+    nothing = unit(0, 0)[:0]
+    empty = [nothing]
     closed: dict[tuple[int, int], list] = {}
     perfect: dict[tuple[int, int], list] = {}
 
@@ -185,7 +207,7 @@ def _blocks(w: int, box_of: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...
         for a in range(1, w - length + 2):
             b = a + length - 1
             if box_of[a] != box_of[b]:
-                arc = ((a, b),)
+                arc = unit(a, b)
                 closed[a, b] = [arc + p for p in inner(a + 1, b - 1)]
             if 2 <= a and b < w:
                 perfect[a, b] = [
@@ -198,11 +220,11 @@ def _blocks(w: int, box_of: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...
 
     suffix = [empty] * (w + 2)
     for i in range(w, 0, -1):
-        found = [()]
+        found = [nothing]
         for k in range(i + 1, w + 1, 2):
             if (i, k) in closed:
                 rest = suffix[k + 1]
                 found.extend(h + s for h in closed[i, k] for s in rest)
         found.extend(itertools.islice(suffix[i + 1], 1, None))
         suffix[i] = found
-    return tuple(suffix[1])
+    return suffix[1]

@@ -101,6 +101,38 @@ def test_bracketing_with_non_ascii_digits_is_a_usage_error(capsys, text):
     assert err.startswith("usage error: --bracketing: unexpected character")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matches", "-b", "\u0663,1"),
+        ("matches", "-b", "1_0"),
+        ("fuse", "-w", "\u0662,2", "-l", "\u0663"),
+        ("fuse", "-w", "2,2", "-l", "3", "-m", "+2"),
+        ("tensor", "-w", "1, 1"),
+        ("matches", "-b", "1,1", "-l", " 3"),
+        ("components", "-b", "1,1", "-l", "\uff13"),
+        ("render", "2|", "--downs", "\u0661"),
+        ("verify", "--max-rank", "\u0663"),
+        ("verify", "--max-level", "1_0"),
+    ],
+)
+def test_integer_flags_take_only_ascii_digit_runs(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: argument" in err
+
+
+def test_integer_flag_errors_keep_their_text_and_negatives_reach_the_domain_checks(capsys):
+    code, _, err = run(capsys, "fuse", "-w", "1,1", "-l", "x")
+    assert code == 2
+    assert err.endswith("error: argument --level/-l: invalid int value: 'x'\n")
+    code, out, err = run(capsys, "components", "-b", "2,2", "-l", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: level must be a positive integer, got -1\n"
+    code, out, _ = run(capsys, "fuse", "-w", "1,1", "-l", "2", "-m", "-0")
+    assert (code, out) == (0, "1\n")
+
+
 def test_fuse_rejects_svg_format(capsys):
     code, _, _ = run(capsys, "fuse", "--weights", "1,1", "--level", "1", "--format", "svg")
     assert code == 2
@@ -589,6 +621,21 @@ TEXT_WRITER_DIGESTS = [
 ]
 
 
+# sha256 digests recorded before untruncated listings were written from block
+# texts: a non-empty --mu slice (5 matches, 15 orientations) on a tuple with
+# zero-size boxes, in all four forms.
+BLOCK_TEXT_DIGESTS = [
+    (("matches", "-b", "0,3,1,0,2,2", "-m", "2"), 0, "out",
+     "b825983c5ef4fb1238b670ed8a27f6fce94230e9959fd5eb89795f17f95b33a2"),
+    (("matches", "-b", "0,3,1,0,2,2", "-m", "2", "--oriented"), 0, "out",
+     "eb1dafdfc9d926d3227214bddd1d787aab76974d2c4b8a581dc6b03bd83fd1ca"),
+    (("matches", "-b", "0,3,1,0,2,2", "-m", "2", "-f", "json"), 0, "out",
+     "5aff1fca7920c8bb4c0c25c35acb485cf01086b7a2d100ac8e2211e396ac5a5d"),
+    (("matches", "-b", "0,3,1,0,2,2", "-m", "2", "--oriented", "-f", "json"), 0, "out",
+     "35e4153be927e34f74f9aa159298486dbd7c65eb5e56fda5af23169f8816a395"),
+]
+
+
 def _assert_digests(capsys, cases):
     for argv, expected_code, stream, digest in cases:
         code, out, err = run(capsys, *argv)
@@ -615,6 +662,10 @@ def test_block_listing_outputs_match_parent_digests(capsys):
 
 def test_text_writer_outputs_match_parent_digests(capsys):
     _assert_digests(capsys, TEXT_WRITER_DIGESTS)
+
+
+def test_block_text_outputs_match_parent_digests(capsys):
+    _assert_digests(capsys, BLOCK_TEXT_DIGESTS)
 
 
 def test_oriented_listings_build_no_oriented_match(capsys, monkeypatch):

@@ -21,9 +21,11 @@ from fusionkit.diagrams import (
     canonical_keys,
     enumerate_cm,
     enumerate_lcm,
+    listing,
     listing_json,
     orientations,
     parse_canonical_key,
+    untruncated_listing,
     validate,
 )
 from fusionkit.bracketing import enumerate_trees
@@ -432,9 +434,24 @@ def test_json_text_of_tuples_equals_that_of_lists():
 # ------------------------------------------------------------- listing writers
 
 
+def _text_lines(matches, oriented) -> str:
+    """The text listing as ``fusionkit matches`` wrote it line by line from the keys."""
+    if oriented:
+        lines = [
+            f"{canonical_key(m)} downs={o.downs} weight={o.weight}"
+            for m in matches
+            for o in orientations(m)
+        ]
+    else:
+        lines = [f"{canonical_key(m)} mu={m.mu}" for m in matches]
+    return "\n".join(lines) if lines else "(none)"
+
+
 def _assert_writers_match_oracles(matches):
     """The batch writers against the single-match forms they replace in listings."""
     assert canonical_keys(matches) == [canonical_key(m) for m in matches]
+    assert listing(matches) == _text_lines(matches, False)
+    assert listing(matches, "text", oriented=True) == _text_lines(matches, True)
     plain = [m.to_json_dict() for m in matches]
     assert listing_json(matches) == json.dumps(plain, separators=(",", ":"))
     oriented = [o.to_json_dict() for m in matches for o in orientations(m)]
@@ -476,3 +493,50 @@ def test_listing_writers_equal_their_oracles_on_filtered_empty_and_mixed_lists()
     # Arcs given out of order and as lists, normalized by the constructor.
     m = LowerMatch((1, 2, 1), [[4, 3], [1, 2]])
     _assert_writers_match_oracles([m, LowerMatch((1, 2, 1)), m])
+
+
+# ------------------------------------------------------------- block listings
+
+LISTING_FORMS = [(fmt, oriented) for fmt in ("text", "json") for oriented in (False, True)]
+
+
+def test_block_listing_equals_the_match_list_writers_on_every_small_box_tuple():
+    listings = 0
+    for rank in range(1, 5):
+        for sizes in itertools.product(range(4), repeat=rank):
+            found = enumerate_lcm(sizes)
+            for mu in [None, *range(sum(sizes) + 2)]:
+                chosen = found if mu is None else [m for m in found if m.mu == mu]
+                for fmt, oriented in LISTING_FORMS:
+                    got = untruncated_listing(sizes, fmt, oriented, mu)
+                    assert got == listing(chosen, fmt, oriented), (sizes, mu, fmt, oriented)
+                    listings += 1
+    # 340 tuples, each without a mu and with each of 0..total+1, in four forms.
+    assert listings == 11592
+
+
+def test_block_listing_equals_the_match_list_writers_on_the_benchmark_listings():
+    for sizes in [
+        (4, 4, 4, 4, 4, 4, 4, 4),
+        (4, 4, 4, 4, 3, 3, 3, 3),
+        (3, 3, 3, 3, 3, 3, 3, 3),
+        (4, 4, 4, 4, 4, 4, 4),
+        (3, 3, 3, 3, 3, 3, 3),
+        (4, 3, 4, 3, 4, 3, 2),
+        (1, 2, 3, 4, 1, 2, 3, 4),
+    ]:
+        found = enumerate_lcm(sizes)
+        for fmt, oriented in LISTING_FORMS:
+            assert untruncated_listing(sizes, fmt, oriented) == listing(found, fmt, oriented)
+
+
+def test_block_listing_checks_its_input_before_listing():
+    with pytest.raises(ValueError, match="at most 1000000 matches"):
+        untruncated_listing((4,) * 16)
+    with pytest.raises(ValueError, match="nonnegative"):
+        untruncated_listing((2, 2), mu=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        untruncated_listing((2, -2))
+    assert untruncated_listing(BoxConfig((1, 1)), "json", mu=0) == (
+        '[{"boxes":[1,1],"arcs":[[1,2]],"mu":0}]'
+    )

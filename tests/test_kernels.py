@@ -159,3 +159,29 @@ def test_blocks_share_one_object_per_arc():
     out = kernels.enumerate_arc_sets((3, 3, 3, 3))
     arcs = [arc for arcs in out for arc in arcs]
     assert len({id(arc) for arc in arcs}) == len(set(arcs))
+
+
+def _joined_arc_texts(sizes):
+    return ["".join(f",{p}-{q}" for p, q in arcs) for arcs in kernels.enumerate_arc_sets(sizes)]
+
+
+def test_arc_texts_spell_the_cached_listing_in_its_order():
+    for sizes in itertools.product(range(0, 4), repeat=4):
+        assert kernels.arc_texts(sizes, lambda p, q: f",{p}-{q}") == _joined_arc_texts(sizes)
+    for sizes in LISTING_FULL_TUPLES[:2]:
+        assert kernels.arc_texts(sizes, lambda p, q: f",{p}-{q}") == _joined_arc_texts(sizes)
+    assert kernels.arc_texts((0,), lambda p, q: f",{p}-{q}") == [""]
+
+
+def test_arc_texts_cache_nothing_and_check_the_caps_first():
+    kernels._listing.cache_clear()
+    kernels.arc_texts((3, 2, 3), lambda p, q: f",{p}-{q}")
+    assert kernels._listing.cache_info().currsize == 0
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at most 1000000 matches, got 10651488789"):
+        kernels.arc_texts((4,) * 16, lambda p, q: f",{p}-{q}")
+    with pytest.raises(ValueError, match="at most 64 vertices, got 65"):
+        kernels.arc_texts((65,), lambda p, q: f",{p}-{q}")
+    with pytest.raises(ValueError, match="nonnegative"):
+        kernels.arc_texts((2, -1), lambda p, q: f",{p}-{q}")
+    assert time.perf_counter() - start < 1.0
