@@ -25,7 +25,7 @@ so that no stratum is counted that cannot exist.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
@@ -222,6 +222,8 @@ def resolve_tree(tree: BracketTree | None, count: int) -> BracketTree:
     """``tree`` checked to cover boxes 1..count; the shared left comb when it is None."""
     if tree is None:
         return BracketTree.left_comb(count)
+    if not isinstance(tree, BracketTree):
+        raise TypeError(f"expected a BracketTree or None, got {tree!r}")
     _check_tree(tree, count)
     return tree
 
@@ -274,24 +276,20 @@ def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:
     return budget_load(m, tree) <= level
 
 
-@lru_cache(maxsize=None)
-def _sorted_loads_by_mu(sizes: tuple[int, ...], tree: BracketTree) -> tuple[tuple[int, ...], ...]:
-    """Entry mu: the sorted budget loads of the arc sets with mu unmatched vertices."""
-    total = sum(sizes)
-    by_mu: list[list[int]] = [[] for _ in range(total + 1)]
-    for arcs, load in zip(kernels.enumerate_arc_sets(sizes), budget_loads(sizes, tree)):
-        by_mu[total - 2 * len(arcs)].append(load)
-    return tuple(tuple(sorted(loads)) for loads in by_mu)
+def _passing_arc_sets(sizes: tuple[int, ...], level: int, tree: BracketTree):
+    """The arc sets of ``kernels.enumerate_arc_sets(sizes)`` loaded at most ``level``, in order."""
+    loads = budget_loads(sizes, tree)
+    return (arcs for arcs, load in zip(kernels.enumerate_arc_sets(sizes), loads) if load <= level)
 
 
-def count_truncated(boxes, mu, level: int, tree: BracketTree | None = None) -> int:
-    """Number of matches with ``mu`` unmatched vertices passing the budget."""
+def count_truncated(boxes, level: int, tree: BracketTree | None = None) -> dict[int, int]:
+    """``{mu: count}`` of the budget-passing matches by unmatched vertices mu, ascending, no zeros."""
     boxes = BoxConfig.coerce(boxes)
     level = check_alcove(boxes.sizes, level)
-    mu = _as_weight(mu)
     tree = resolve_tree(tree, boxes.count)
-    by_mu = _sorted_loads_by_mu(boxes.sizes, tree)
-    return bisect_right(by_mu[mu], level) if mu < len(by_mu) else 0
+    total = boxes.total
+    counts = Counter(total - 2 * len(arcs) for arcs in _passing_arc_sets(boxes.sizes, level, tree))
+    return dict(sorted(counts.items()))
 
 
 def ra_count(w1, w2, w3, level, n) -> int:

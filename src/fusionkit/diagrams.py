@@ -429,14 +429,20 @@ def untruncated_listing(boxes, fmt: str = "text", oriented: bool = False, mu=Non
     return form.joined(items)
 
 
-def _digits(text: str) -> int:
+def _digits(text: str, what: str = "a number") -> int:
     """The number a run of ASCII digits spells, the only form :func:`canonical_key` writes.
 
     ``int`` alone would also take signs, spaces, underscores and other scripts' digits.
+    JSON weight keys are read the same way; ``what`` names the number in the error.
     """
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"expected ASCII digits, got {text!r}")
+        raise ValueError(f"expected ASCII digits for {what}, got {text!r}")
     return int(text)
+
+
+def _weight_key(key) -> int:
+    """A highest weight used as a JSON key: an int, or a string read by :func:`_digits`."""
+    return _as_weight(_digits(key, "a highest weight") if isinstance(key, str) else key)
 
 
 def parse_canonical_key(key: str) -> LowerMatch:

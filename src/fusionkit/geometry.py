@@ -24,6 +24,7 @@ from .diagrams import (
     BoxConfig,
     LowerMatch,
     _as_weight,
+    _weight_key,
     arc_census,
     canonical_keys,
     enumerate_lcm,
@@ -122,7 +123,7 @@ class ComponentCensus:
     def from_json_dict(cls, obj: dict) -> "ComponentCensus":
         census = cls(
             per_mu={
-                _as_weight(int(k) if isinstance(k, str) else k): _as_weight(v, "component count")
+                _weight_key(k): _as_weight(v, "component count")
                 for k, v in obj["per_mu"].items()
             },
             total_components=obj["total_components"],

@@ -39,6 +39,7 @@ it, is built in about 0.6 s as arc tuples and 0.3 s as arc texts.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 MAX_VERTICES = 64
@@ -92,8 +93,8 @@ def load(sizes: tuple[int, ...], arcs, scopes) -> int:
 
 
 def _checked(sizes) -> tuple[int, ...]:
-    """``sizes`` as ints, refused unless nonnegative and within both caps."""
-    sizes = [int(s) for s in sizes]
+    """``sizes`` as ints, refused unless integers, nonnegative and within both caps."""
+    sizes = [operator.index(s) for s in sizes]
     if any(s < 0 for s in sizes):
         raise ValueError(f"box sizes must be nonnegative, got {sizes}")
     if sum(sizes) > MAX_VERTICES:
@@ -138,7 +139,8 @@ def enumerate_arc_sets(
     from blocks and cached (:func:`_listing`); with one, the search finds it.
     """
     if budget is None:
-        return _listing(sizes)
+        # Indexed before the lookup: (2.0, 1) is a key equal to (2, 1).
+        return _listing(tuple(map(operator.index, sizes)))
     key = _checked(sizes)
     box_of, prefix = layout(key)
     w = prefix[-1]

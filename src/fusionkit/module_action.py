@@ -18,8 +18,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from . import kernels
-from .bracketing import BracketTree, budget_loads, check_alcove, resolve_tree
+from .bracketing import BracketTree, _passing_arc_sets, check_alcove, resolve_tree
 from .diagrams import (
     BoxConfig,
     LowerMatch,
@@ -57,12 +56,10 @@ def build_basis(boxes, level, tree: BracketTree | None = None) -> ModuleBasis:
     boxes = BoxConfig.coerce(boxes)
     level = check_alcove(boxes.sizes, level)
     tree = resolve_tree(tree, boxes.count)
-    loads = budget_loads(boxes.sizes, tree)
-    matches: list[LowerMatch] = []
-    for arcs, load in zip(kernels.enumerate_arc_sets(boxes.sizes), loads):
-        if load <= level:
-            matches.append(LowerMatch._from_kernel(boxes, arcs))
-    return ModuleBasis(boxes=boxes, level=level, tree=tree, matches=tuple(matches))
+    matches = tuple(
+        LowerMatch._from_kernel(boxes, arcs) for arcs in _passing_arc_sets(boxes.sizes, level, tree)
+    )
+    return ModuleBasis(boxes=boxes, level=level, tree=tree, matches=matches)
 
 
 Triple = tuple[int, int, int]

@@ -15,7 +15,7 @@ import operator
 from typing import Iterator, Mapping
 
 from .bracketing import BracketTree, _check_level, check_alcove, resolve_tree
-from .diagrams import _as_weight
+from .diagrams import _as_weight, _weight_key
 
 
 class RingElement:
@@ -27,7 +27,7 @@ class RingElement:
         data: dict[int, int] = {}
         if coeffs:
             for k, c in coeffs.items():
-                k = _as_weight(int(k) if isinstance(k, str) else k)
+                k = _weight_key(k)
                 c = operator.index(c)
                 if c != 0:
                     data[k] = c
@@ -120,7 +120,7 @@ class RingElement:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RingElement":
-        return cls({int(k): v for k, v in obj["coeffs"].items()})
+        return cls(obj["coeffs"])
 
 
 def _product(x: RingElement, y: RingElement, level: int | None = None) -> RingElement:

@@ -270,8 +270,9 @@ def _bracketing_count_equals_fusion_dim(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         for level in _levels(ws, bounds):
             fused = ring.fuse_many(ws, level)
+            counted = bracketing.count_truncated(ws, level)
             for mu in range(sum(ws) + 1):
-                got = bracketing.count_truncated(ws, mu, level)
+                got = counted.get(mu, 0)
                 expected = fused.coeff(mu)
                 yield (
                     got == expected,
@@ -285,8 +286,9 @@ def _bracketing_count_independent_of_tree(bounds: Bounds) -> Cases:
         trees = bracketing.enumerate_trees(r)
         for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=r):
             for level in _levels(ws, bounds):
+                per_tree = [bracketing.count_truncated(ws, level, t) for t in trees]
                 for mu in range(sum(ws) + 1):
-                    counts = {bracketing.count_truncated(ws, mu, level, t) for t in trees}
+                    counts = {counted.get(mu, 0) for counted in per_tree}
                     yield (
                         len(counts) == 1,
                         lambda: f"ws={ws} mu={mu} l={level}: counts {sorted(counts)} differ",

@@ -6,6 +6,7 @@ import functools
 import itertools
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +30,8 @@ from fusionkit.bracketing import (
 )
 from fusionkit.diagrams import LowerMatch, enumerate_lcm, orientations
 from fusionkit.geometry import component_census, truncated_matches
-from fusionkit.module_action import build_basis
-from fusionkit.ring import dim_hom_fusion
+from fusionkit.module_action import build_basis, isotypic_census
+from fusionkit.ring import fuse_many
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -367,28 +368,35 @@ def test_budget_load_rejects_leaf_count_mismatch():
 
 def test_count_truncated_examples():
     pair = BracketTree.left_comb(2)
-    assert count_truncated((1, 1), 0, 1, pair) == 1
-    assert count_truncated((1, 1), 2, 1, pair) == 0
-    assert count_truncated((1, 1, 1), 1, 1, parse_bracketing("((12)3)", 3)) == 1
-    assert count_truncated((1, 1, 1), 1, 1, parse_bracketing("(1(23))", 3)) == 1
+    assert count_truncated((1, 1), 1, pair) == {0: 1}
+    assert list(count_truncated((1, 1), 2, pair).items()) == [(0, 1), (2, 1)]
+    assert count_truncated((1, 1, 1), 1, parse_bracketing("((12)3)", 3)) == {1: 1}
+    assert count_truncated((1, 1, 1), 1, parse_bracketing("(1(23))", 3)) == {1: 1}
+    assert count_truncated((0,), 1) == {0: 1}
 
 
 def test_count_truncated_rejects_weights_above_level():
     with pytest.raises(ValueError, match="alcove"):
-        count_truncated((3, 1), 0, 2)
+        count_truncated((3, 1), 2)
 
 
 def test_count_truncated_checks_tree_even_for_an_empty_mu_slice():
-    for mu in (0, 5):
+    # The tree is checked before anything is counted, whatever the level lets pass.
+    for level in (1, 2, 5):
         with pytest.raises(ValueError, match="covers leaves 1..3 but there are 2 factors"):
-            count_truncated((1, 1), mu, 1, BracketTree.left_comb(3))
+            count_truncated((1, 1), level, BracketTree.left_comb(3))
 
 
-def test_count_truncated_rejects_negative_mu():
-    with pytest.raises(ValueError, match="nonnegative"):
-        count_truncated((1, 1), -1, 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        count_truncated((1, 1), -2, 1, BracketTree.left_comb(2))
+def test_count_truncated_refuses_the_old_mu_argument():
+    # The former signature was (boxes, mu, level, tree=None): a third positional
+    # argument is now the tree, so a leftover call raises instead of counting.
+    for ws in ((1, 1), (2, 2), (1, 1, 1), (2, 1, 2)):
+        for mu in range(sum(ws) + 1):
+            for level in range(max(ws), 4):
+                with pytest.raises((TypeError, ValueError)):
+                    count_truncated(ws, mu, level)
+    with pytest.raises(TypeError, match="BracketTree"):
+        count_truncated((1, 1), 2, 1)
 
 
 def test_count_truncated_equals_oracle_filter_for_every_tree():
@@ -397,10 +405,10 @@ def test_count_truncated_equals_oracle_filter_for_every_tree():
         matches = enumerate_lcm(ws)
         for tree in enumerate_trees(len(ws)):
             for level in verify._levels(ws, bounds):
-                passing = [m.mu for m in matches if _budget_ok_by_scope(m, level, tree)]
-                for mu in range(sum(ws) + 2):
-                    expected = passing.count(mu)
-                    assert count_truncated(ws, mu, level, tree) == expected, (ws, tree, level, mu)
+                passing = Counter(m.mu for m in matches if _budget_ok_by_scope(m, level, tree))
+                got = count_truncated(ws, level, tree)
+                assert got == dict(passing), (ws, tree, level)
+                assert list(got) == sorted(passing), (ws, tree, level)
 
 
 def test_build_basis_equals_enumerate_filter_orient():
@@ -423,12 +431,13 @@ def test_bracketing_suite_computes_loads_once_per_tuple_and_tree():
         for ws in itertools.product(range(1, 5), repeat=r):
             asked.update((ws, t) for t in enumerate_trees(r))
     budget_loads.cache_clear()
-    bracketing._sorted_loads_by_mu.cache_clear()
     results = verify.run_suites(["bracketing"], bounds)
     assert all(r.passed for r in results)
     info = budget_loads.cache_info()
     assert info.misses == len(asked) == 1428
-    assert info.hits == 0
+    # One count per (tuple, level) and per (tuple, level, tree), 5,960 in all,
+    # each reading its table once.
+    assert info.hits == 5960 - 1428 == 4532
 
 
 def test_build_basis_reads_the_shared_loads():
@@ -443,16 +452,31 @@ def test_count_truncated_equals_fusion_dimension():
     for r in range(1, 4):
         for ws in itertools.product(range(1, 4), repeat=r):
             for level in range(max(ws), 6):
-                for mu in range(sum(ws) + 1):
-                    assert count_truncated(ws, mu, level) == dim_hom_fusion(ws, mu, level)
+                assert count_truncated(ws, level) == fuse_many(ws, level).coeffs, (ws, level)
 
 
 def test_count_truncated_independent_of_tree():
     for ws in itertools.product(range(1, 4), repeat=3):
         for level in range(max(ws), 6):
-            for mu in range(sum(ws) + 1):
-                counts = {count_truncated(ws, mu, level, t) for t in enumerate_trees(3)}
-                assert len(counts) == 1, (ws, level, mu)
+            counts = [count_truncated(ws, level, t) for t in enumerate_trees(3)]
+            assert all(c == counts[0] for c in counts), (ws, level)
+
+
+def test_count_truncated_equals_pruned_census_and_module_isotypes_on_every_tree():
+    # component_census lists through the pruned search and the module basis
+    # through the shared filter; all three must give the same {mu: count}.
+    cases = 0
+    for r in range(1, 5):
+        trees = enumerate_trees(r)
+        for ws in itertools.product(range(0, 4), repeat=r):
+            for tree in trees:
+                for level in range(max(max(ws), 1), 7):
+                    got = count_truncated(ws, level, tree)
+                    assert got == component_census(ws, level, tree).per_mu, (ws, tree, level)
+                    assert got == isotypic_census(build_basis(ws, level, tree)), (ws, tree, level)
+                    assert list(got) == sorted(got)
+                    cases += 1
+    assert cases == 6285
 
 
 # ------------------------------------------------------------ pruned search

@@ -257,6 +257,15 @@ def test_component_census_json_rejects_negative_weights_and_counts(obj, message)
         ComponentCensus.from_json_dict(obj)
 
 
+@pytest.mark.parametrize("key", ["٢", " 2", "0_2", "+2"])
+def test_component_census_json_weight_keys_are_ascii_digit_runs(key):
+    # Both totals agree with per_mu {2: 1}, so only the key check refuses these.
+    obj = {"per_mu": {key: 1}, "total_components": 1, "total_dim": 3, "labels": ["x"]}
+    with pytest.raises(ValueError, match="ASCII digits for a highest weight"):
+        ComponentCensus.from_json_dict(obj)
+    assert ComponentCensus.from_json_dict({**obj, "per_mu": {"2": 1}}).per_mu == {2: 1}
+
+
 def test_component_census_json_rejects_total_dim_that_disagrees_with_per_mu():
     obj = component_census((2, 1, 2), 3).to_json_dict()
     obj["total_dim"] -= 1

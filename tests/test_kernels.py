@@ -79,6 +79,18 @@ def test_kernel_edge_cases():
         kernels.enumerate_arc_sets((kernels.MAX_VERTICES + 1,))
 
 
+@pytest.mark.parametrize("sizes", [(2.7, 1), ("2", 1), (2.0, 1)])
+def test_kernel_refuses_sizes_that_are_not_integers(sizes):
+    # (2.0, 1) is a key equal to (2, 1): a cached listing must not let it through.
+    kernels.enumerate_arc_sets((2, 1))
+    with pytest.raises(TypeError):
+        kernels.enumerate_arc_sets(sizes)
+    with pytest.raises(TypeError):
+        kernels.enumerate_arc_sets(sizes, (2, ()))
+    with pytest.raises(TypeError):
+        kernels.arc_texts(sizes, lambda p, q: f",{p}-{q}")
+
+
 def test_kernel_refuses_more_than_max_matches_before_searching():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="at most 1000000 matches, got 10651488789"):

@@ -109,6 +109,16 @@ def test_ring_element_json_roundtrip(coeffs):
     assert keys == sorted(keys, key=int)
 
 
+@pytest.mark.parametrize("key", ["٣", " 2", "1_0", "+2", "-1", "2 "])
+def test_ring_element_json_keys_are_ascii_digit_runs(key):
+    # int() would read these as 3, 2, 10, 2, -1 and 2.
+    with pytest.raises(ValueError, match="ASCII digits"):
+        RingElement.from_json_dict({"coeffs": {key: 1}})
+    with pytest.raises(ValueError, match="ASCII digits"):
+        RingElement({key: 1})
+    assert RingElement.from_json_dict({"coeffs": {"3": 1, "10": -2}}).coeffs == {3: 1, 10: -2}
+
+
 # -------------------------------------------------------------------- tensor_cg
 
 
