@@ -240,9 +240,18 @@ def budget_load(m: LowerMatch, tree: BracketTree) -> int:
     return kernels.load(m.boxes.sizes, m.arcs, tree.scopes)
 
 
+def budget_loads(sizes, tree: BracketTree) -> tuple[int, ...]:
+    """The budget load of every arc set of ``kernels.enumerate_arc_sets(sizes)``, in order.
+
+    The sizes are indexed before the cache lookup: ``(2.0, 1)`` is a key equal
+    to ``(2, 1)``.
+    """
+    return _budget_loads(tuple(map(operator.index, sizes)), tree)
+
+
 @lru_cache(maxsize=None)
-def budget_loads(sizes: tuple[int, ...], tree: BracketTree) -> tuple[int, ...]:
-    """The budget load of every arc set of ``kernels.enumerate_arc_sets(sizes)``, in order."""
+def _budget_loads(sizes: tuple[int, ...], tree: BracketTree) -> tuple[int, ...]:
+    """:func:`budget_loads` for callers that hold a tuple of ints already."""
     _check_tree(tree, len(sizes))
     scopes = tree.scopes
     return tuple(kernels.load(sizes, arcs, scopes) for arcs in kernels.enumerate_arc_sets(sizes))
@@ -278,7 +287,7 @@ def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:
 
 def _passing_arc_sets(sizes: tuple[int, ...], level: int, tree: BracketTree):
     """The arc sets of ``kernels.enumerate_arc_sets(sizes)`` loaded at most ``level``, in order."""
-    loads = budget_loads(sizes, tree)
+    loads = _budget_loads(sizes, tree)
     return (arcs for arcs, load in zip(kernels.enumerate_arc_sets(sizes), loads) if load <= level)
 
 

@@ -56,7 +56,7 @@ class BoxConfig:
                 f"got {sum(sizes)}"
             )
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "_layout", kernels.layout(sizes))
+        object.__setattr__(self, "_layout", kernels._layout(sizes))
 
     @classmethod
     def coerce(cls, value) -> "BoxConfig":
@@ -126,7 +126,7 @@ class LowerMatch:
     @property
     def mu(self) -> int:
         """Number of unmatched vertices (= highest weight of the labelled summand)."""
-        return self.boxes.total - 2 * len(self.arcs)
+        return self.boxes._layout[1][-1] - 2 * len(self.arcs)
 
     def matched_vertices(self) -> frozenset[int]:
         return frozenset(v for arc in self.arcs for v in arc)
@@ -166,6 +166,14 @@ class OrientedLowerMatch:
             raise ValueError(f"downs must lie in 0..{self.base.mu}, got {downs}")
         object.__setattr__(self, "downs", downs)
 
+    @classmethod
+    def _unchecked(cls, base: LowerMatch, downs: int) -> "OrientedLowerMatch":
+        """Wrap an int ``downs`` in 0..base.mu, which the caller has taken from that range."""
+        o = object.__new__(cls)
+        object.__setattr__(o, "base", base)
+        object.__setattr__(o, "downs", downs)
+        return o
+
     @property
     def weight(self) -> int:
         return self.base.mu - 2 * self.downs
@@ -200,15 +208,15 @@ def validate(boxes, arcs) -> bool:
     move of the kernel's search: open an arc, close the innermost open arc
     onto a different box, or leave the vertex unmatched with no arc open.
     """
-    boxes = BoxConfig.coerce(boxes)
-    box_of = boxes._layout[0]
+    box_of, prefix = BoxConfig.coerce(boxes)._layout
+    total = prefix[-1]
     partner: dict[int, int] = {}
     for p, q in arcs:
-        if not 1 <= p < q <= boxes.total or p in partner or q in partner:
+        if not 1 <= p < q <= total or p in partner or q in partner:
             return False
         partner[p], partner[q] = q, p
     stack: list[int] = []
-    for v in range(1, boxes.total + 1):
+    for v in range(1, total + 1):
         u = partner.get(v, v)  # v itself when unmatched
         if u > v:
             stack.append(v)
@@ -247,7 +255,7 @@ def enumerate_cm(boxes, mu) -> list[LowerMatch]:
 
 def orientations(m: LowerMatch) -> list[OrientedLowerMatch]:
     """All mu+1 orientations of a match, by ascending down count."""
-    return [OrientedLowerMatch(m, k) for k in range(m.mu + 1)]
+    return [OrientedLowerMatch._unchecked(m, k) for k in range(m.mu + 1)]
 
 
 @dataclass(frozen=True)

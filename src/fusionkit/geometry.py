@@ -91,9 +91,25 @@ def kernel_profile(m: LowerMatch) -> KernelProfile:
 
 
 def nl_threshold(m: LowerMatch) -> int:
-    """max_i dimker_i - rank_{i-1}: the inequalities hold exactly at levels from here up."""
-    profile = kernel_profile(m)
-    return max(d - r for d, r in zip(profile.dimker, (0,) + profile.rank))
+    """max_i dimker_i - rank_{i-1}: the inequalities hold exactly at levels from here up.
+
+    With ``prefix[i] = w1 + ... + wi`` and ``rank_i`` the arcs closing in
+    boxes 1..i, ``dimker_i = prefix[i] - rank_i``, so the threshold is
+    max_i ``prefix[i] - rank_i - rank_{i-1}``: one pass over the arcs and one
+    over the boxes, with :func:`kernel_profile` as its test oracle.
+    """
+    box, prefix = m.boxes._layout
+    closing = [0] * len(prefix)  # arcs closing in each box; entry 0 unused
+    for _, q in m.arcs:
+        closing[box[q]] += 1
+    # Every term is >= 0, since prefix[i] >= 2·rank_i, so 0 starts the max.
+    threshold = rank = 0
+    for i in range(1, len(prefix)):
+        before = rank
+        rank += closing[i]
+        if prefix[i] - rank - before > threshold:
+            threshold = prefix[i] - rank - before
+    return threshold
 
 
 def nl_condition(m: LowerMatch, level) -> bool:

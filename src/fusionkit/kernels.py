@@ -60,9 +60,21 @@ def _match_count(sizes: list[int]) -> int:
     return sum(c for _, c in tensor_many(sizes).items())
 
 
+def layout(sizes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(box index of every vertex 1..total with entry 0 unused, prefix sums of sizes).
+
+    The sizes are indexed before the cache lookup: ``(2.0, 1)`` is a key equal
+    to ``(2, 1)``.
+    """
+    sizes = tuple(map(operator.index, sizes))
+    if any(s < 0 for s in sizes):
+        raise ValueError(f"box sizes must be nonnegative, got {list(sizes)}")
+    return _layout(sizes)
+
+
 @lru_cache(maxsize=None)
-def layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(box index of every vertex 1..total with entry 0 unused, prefix sums of sizes)."""
+def _layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:func:`layout` for callers that hold a tuple of nonnegative ints already."""
     box = [0]
     prefix = [0]
     for b, s in enumerate(sizes, start=1):
@@ -75,9 +87,10 @@ def load(sizes: tuple[int, ...], arcs, scopes) -> int:
     """The largest count of curves over ``scopes`` (0 for none), as in ``bracketing``.
 
     Each scope is ``(S lo, A hi, B lo, S hi)`` in box indices, for a tensor
-    operation with sides A and B and scope S = A u B.
+    operation with sides A and B and scope S = A u B.  ``sizes`` is a tuple of
+    nonnegative ints, as every caller holds it, so it is not checked again.
     """
-    box, prefix = layout(sizes)
+    box, prefix = _layout(sizes)
     arc_boxes = [(box[p], box[q]) for p, q in arcs]
     result = 0
     for slo, ahi, blo, shi in scopes:
@@ -108,7 +121,7 @@ def _checked(sizes) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _listing(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Every arc set on ``sizes`` from blocks; the caps are checked on a miss only."""
-    box_of, prefix = layout(_checked(sizes))
+    box_of, prefix = _layout(_checked(sizes))
     return tuple(_blocks(prefix[-1], box_of, lambda a, b: ((a, b),)))
 
 
@@ -120,7 +133,7 @@ def arc_texts(sizes, arc_text) -> list[str]:
     ``""`` for the empty match and starts with the separator otherwise.  The
     caps are checked first, as for :func:`enumerate_arc_sets`.
     """
-    box_of, prefix = layout(_checked(sizes))
+    box_of, prefix = _layout(_checked(sizes))
     return _blocks(prefix[-1], box_of, arc_text)
 
 
@@ -142,7 +155,7 @@ def enumerate_arc_sets(
         # Indexed before the lookup: (2.0, 1) is a key equal to (2, 1).
         return _listing(tuple(map(operator.index, sizes)))
     key = _checked(sizes)
-    box_of, prefix = layout(key)
+    box_of, prefix = _layout(key)
     w = prefix[-1]
     # The scopes to count on reaching each vertex: those whose last vertex precedes it.
     level, scopes = budget

@@ -24,7 +24,6 @@ from .diagrams import (
     LowerMatch,
     OrientedLowerMatch,
     canonical_keys,
-    orientations,
 )
 
 
@@ -40,7 +39,8 @@ class ModuleBasis:
     @property
     def elements(self) -> tuple[OrientedLowerMatch, ...]:
         """Each match's orientations by ascending downs, built anew on each access."""
-        return tuple(o for m in self.matches for o in orientations(m))
+        oriented = OrientedLowerMatch._unchecked
+        return tuple(oriented(m, k) for m in self.matches for k in range(m.mu + 1))
 
     @property
     def dim(self) -> int:
@@ -161,10 +161,23 @@ def _commutator(a, b) -> dict[tuple[int, int], int]:
 
 
 def verify_sl2(matrices: ActionMatrices) -> bool:
-    """Exact check of [E,F] = H, [H,E] = 2E, [H,F] = -2F."""
+    """Exact check of [E,F] = H, [H,E] = 2E, [H,F] = -2F.
+
+    [E,F] is always a sparse product.  When H is diagonal, as in every
+    basis :func:`action_matrices` writes, [H,X] has entry (h_r - h_c)·x_rc,
+    so [H,E] = 2E holds iff h_r - h_c = 2 on every nonzero entry of E, and
+    [H,F] = -2F iff it is -2 on every nonzero entry of F: O(nnz) in all.
+    Any other H takes the sparse products.
+    """
     e, f, h = matrices.e, matrices.f, matrices.h
-    return (
-        _commutator(e, f) == _entries(h)
-        and _commutator(h, e) == _entries(e, 2)
-        and _commutator(h, f) == _entries(f, -2)
-    )
+    h_entries = _entries(h)
+    if _commutator(e, f) != h_entries:
+        return False
+    if any(r != c for r, c in h_entries):
+        return _commutator(h, e) == _entries(e, 2) and _commutator(h, f) == _entries(f, -2)
+    weight = {r: v for (r, _), v in h_entries.items()}
+
+    def shifts_weight_by(x, step: int) -> bool:
+        return all(weight.get(r, 0) - weight.get(c, 0) == step for r, c in _entries(x))
+
+    return shifts_weight_by(e, 2) and shifts_weight_by(f, -2)

@@ -34,6 +34,17 @@ class RingElement:
         self._coeffs = data
 
     @classmethod
+    def _from_ints(cls, coeffs: dict[int, int]) -> "RingElement":
+        """Wrap int weights and coefficients that the package computed; only zeros are dropped.
+
+        The element takes ``coeffs`` over when none is zero, so the caller
+        passes a dict it no longer uses.
+        """
+        x = object.__new__(cls)
+        x._coeffs = coeffs if all(coeffs.values()) else {k: c for k, c in coeffs.items() if c}
+        return x
+
+    @classmethod
     def zero(cls) -> "RingElement":
         return cls()
 
@@ -132,7 +143,7 @@ def _product(x: RingElement, y: RingElement, level: int | None = None) -> RingEl
             top = i + j if level is None else min(i + j, 2 * level - i - j)
             for k in range(abs(i - j), top + 1, 2):
                 acc[k] = acc.get(k, 0) + c
-    return RingElement(acc)
+    return RingElement._from_ints(acc)
 
 
 def tensor_cg(i, j) -> RingElement:
@@ -172,7 +183,7 @@ def fuse_many(ws, level, tree: BracketTree | None = None) -> RingElement:
     if not ws:
         return RingElement.unit()
     return resolve_tree(tree, len(ws)).fold(
-        lambda i: RingElement.simple(ws[i - 1]), lambda x, y: _product(x, y, level)
+        lambda i: RingElement._from_ints({ws[i - 1]: 1}), lambda x, y: _product(x, y, level)
     )
 
 

@@ -11,6 +11,7 @@ run in declaration order on one thread, so the report is in a fixed order.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -29,8 +30,10 @@ class Bounds:
 
     def __post_init__(self):
         for name in ("max_rank", "max_weight", "max_level"):
-            if getattr(self, name) < 1:
+            value = operator.index(getattr(self, name))
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1")
+            object.__setattr__(self, name, value)
 
 
 @dataclass

@@ -363,6 +363,23 @@ def test_budget_load_rejects_leaf_count_mismatch():
         budget_loads((1, 1), BracketTree.left_comb(3))
 
 
+@pytest.mark.parametrize("sizes", [(2.0, 1), (2.5, 1), ("2", 1)])
+def test_budget_loads_and_layout_refuse_sizes_that_are_not_integers_cold_and_warm(sizes):
+    # (2.0, 1) is a key equal to (2, 1): a cached entry must not let it through.
+    tree = BracketTree.left_comb(2)
+    bracketing._budget_loads.cache_clear()
+    kernels._layout.cache_clear()
+    for warm in (False, True):
+        with pytest.raises(TypeError, match="integer"):
+            budget_loads(sizes, tree)
+        with pytest.raises(TypeError, match="integer"):
+            kernels.layout(sizes)
+        assert budget_loads((2, 1), tree) == (3, 2)
+        assert kernels.layout((2, 1)) == ((0, 1, 1, 2), (0, 2, 3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        kernels.layout((2, -1))
+
+
 # -------------------------------------------------------------- count_truncated
 
 
@@ -430,10 +447,10 @@ def test_bracketing_suite_computes_loads_once_per_tuple_and_tree():
     for r in (3, 4):
         for ws in itertools.product(range(1, 5), repeat=r):
             asked.update((ws, t) for t in enumerate_trees(r))
-    budget_loads.cache_clear()
+    bracketing._budget_loads.cache_clear()
     results = verify.run_suites(["bracketing"], bounds)
     assert all(r.passed for r in results)
-    info = budget_loads.cache_info()
+    info = bracketing._budget_loads.cache_info()
     assert info.misses == len(asked) == 1428
     # One count per (tuple, level) and per (tuple, level, tree), 5,960 in all,
     # each reading its table once.
@@ -441,10 +458,10 @@ def test_bracketing_suite_computes_loads_once_per_tuple_and_tree():
 
 
 def test_build_basis_reads_the_shared_loads():
-    budget_loads.cache_clear()
+    bracketing._budget_loads.cache_clear()
     build_basis((2, 1, 2), 3)
     build_basis((2, 1, 2), 2)
-    info = budget_loads.cache_info()
+    info = bracketing._budget_loads.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
@@ -547,7 +564,7 @@ def test_pruned_search_builds_few_candidates_for_the_reference_query():
 
 def test_untruncated_callers_share_one_kernel_cache_entry_per_box_tuple():
     kernels._listing.cache_clear()
-    budget_loads.cache_clear()
+    bracketing._budget_loads.cache_clear()
     configs = [(2, 2), (1, 2, 1), (2, 1, 2, 1), (3, 0, 2)]
     for n, ws in enumerate(configs, start=1):
         tree = BracketTree.left_comb(len(ws))

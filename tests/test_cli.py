@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -300,6 +301,24 @@ def test_verify_bound_defaults_are_those_of_bounds():
     assert (args.max_rank, args.max_weight, args.max_level) == (
         bounds.max_rank, bounds.max_weight, bounds.max_level
     )
+
+
+def test_verify_bounds_read_their_fields_as_integers():
+    # Each of these constructed before and failed partway through a sweep, or
+    # on a comparison of a string with 1.
+    for bad in ({"max_level": 2.5}, {"max_weight": 2.0}, {"max_rank": "3"}):
+        with pytest.raises(TypeError, match="integer"):
+            verify.Bounds(**bad)
+    with pytest.raises(ValueError, match="max_rank must be at least 1"):
+        verify.Bounds(max_rank=0)
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    bounds = verify.Bounds(max_rank=Three(), max_weight=Three(), max_level=Three())
+    assert bounds == verify.Bounds(3, 3, 3)
+    assert all(type(value) is int for value in dataclasses.astuple(bounds))
 
 
 def test_verify_ring_suite_passes(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +332,36 @@ def test_oriented_vertex_split():
     assert o.down_vertices() == (3,)
     with pytest.raises(ValueError):
         OrientedLowerMatch(empty, 4)
+
+
+def test_orientations_and_basis_elements_equal_the_checked_constructor():
+    # Every match of rank <= 4 with sizes 0-3, and every basis of the same
+    # tuples at levels max(ws)..4: the orientations built without the check
+    # are those of the checked constructor, field by field.
+    oriented = 0
+    for r in range(1, 5):
+        for ws in itertools.product(range(4), repeat=r):
+            for m in enumerate_lcm(ws):
+                assert m.mu == m.boxes.total - 2 * len(m.arcs) == len(m.unmatched())
+                got = orientations(m)
+                expected = [OrientedLowerMatch(m, k) for k in range(m.mu + 1)]
+                assert got == expected, (ws, m.arcs)
+                assert [(o.base, o.downs, o.weight) for o in got] == [
+                    (o.base, o.downs, o.weight) for o in expected
+                ]
+                assert all(o.base is m and type(o.downs) is int for o in got)
+                oriented += len(got)
+            for level in range(max(max(ws), 1), 5):
+                basis = build_basis(ws, level)
+                assert basis.elements == tuple(
+                    OrientedLowerMatch(m, k) for m in basis.matches for k in range(m.mu + 1)
+                ), (ws, level)
+    # The product of (w + 1) over the boxes, summed over the 340 tuples.
+    assert oriented == sum(
+        math.prod(w + 1 for w in ws)
+        for r in range(1, 5)
+        for ws in itertools.product(range(4), repeat=r)
+    )
 
 
 # -------------------------------------------------------------------- arc census

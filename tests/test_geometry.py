@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import verify
 from fusionkit.bracketing import BracketTree, satisfies_truncation
@@ -137,6 +139,33 @@ def test_nl_threshold_equals_per_prefix_oracle():
             assert nl_condition(m, max(threshold, 1))
             if threshold > 1:
                 assert not nl_condition(m, threshold - 1)
+
+
+def _threshold_by_profile(m) -> int:
+    """Oracle: the threshold read off the full kernel profile."""
+    profile = kernel_profile(m)
+    return max(d - r for d, r in zip(profile.dimker, (0,) + profile.rank))
+
+
+def test_nl_threshold_equals_kernel_profile_on_every_small_box_tuple():
+    tuples = [
+        ws for r in range(1, 6) for ws in itertools.product(range(5), repeat=r) if sum(ws) <= 12
+    ]
+    assert len(tuples) == 3183
+    checked = 0
+    for ws in tuples:
+        for m in enumerate_lcm(ws):
+            assert nl_threshold(m) == _threshold_by_profile(m), (ws, m.arcs)
+            checked += 1
+    assert checked == 59594
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=6), st.data())
+def test_nl_threshold_equals_kernel_profile_on_random_matches(sizes, data):
+    # Up to 30 vertices, past the exhaustive test's 12.
+    m = data.draw(st.sampled_from(enumerate_lcm(sizes)))
+    assert nl_threshold(m) == _threshold_by_profile(m), (sizes, m.arcs)
 
 
 def test_nl_condition_single_box_enforces_alcove():

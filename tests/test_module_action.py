@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from fusionkit.bracketing import BracketTree, enumerate_trees
 from fusionkit.diagrams import canonical_key
 from fusionkit.module_action import (
     ActionMatrices,
+    _commutator,
+    _entries,
     action_matrices,
     build_basis,
     isotypic_census,
@@ -148,6 +151,93 @@ def test_verify_sl2_rejects_every_one_entry_perturbation():
             assert verify_sl2(bad) is dense_sl2(bad) is False, (name, r, c, delta)
 
 
+def _sl2_by_commutators(mats: ActionMatrices) -> bool:
+    """Oracle: all three relations as sparse commutator products, whatever H is."""
+    e, f, h = mats.e, mats.f, mats.h
+    return (
+        _commutator(e, f) == _entries(h)
+        and _commutator(h, e) == _entries(e, 2)
+        and _commutator(h, f) == _entries(f, -2)
+    )
+
+
+def _with(mats: ActionMatrices, name: str, triples) -> ActionMatrices:
+    return dataclasses.replace(mats, **{name: tuple(triples)})
+
+
+def _perturbations(mats: ActionMatrices, basis, stride: int):
+    """Matrices that differ from ``mats`` by one unit somewhere, plus edits that keep them.
+
+    Each of E, F and H gets every ``stride``-th triple moved by ±1, a ±1
+    triple added on, above and below the diagonal every ``stride`` rows
+    (a duplicate where one is there already, an off-diagonal entry for H),
+    and a 1 between the trivial blocks, which leaves [E,F] = H unchanged.
+    Then come edits that leave each matrix as it is: a triple split into two
+    duplicates, a pair of duplicates that cancel, and a zero-valued triple
+    off the diagonal.
+    """
+    n = mats.size
+    trivial = [start for start, stop in basis.blocks() if stop - start == 1]
+    for name in ("e", "f", "h"):
+        triples = getattr(mats, name)
+        for i in range(0, len(triples), stride):
+            r, c, v = triples[i]
+            for delta in (1, -1):
+                yield _with(mats, name, triples[:i] + ((r, c, v + delta),) + triples[i + 1 :])
+        for r in range(0, n - 1, stride):
+            for delta in (1, -1):
+                for at in ((r, r), (r, r + 1), (r + 1, r)):
+                    yield _with(mats, name, triples + (at + (delta,),))
+        for i, j in zip(trivial, trivial[1:]):
+            yield _with(mats, name, triples + ((i, i, 1),))
+            yield _with(mats, name, triples + ((i, j, 1),))
+        mid = len(triples) // 2
+        r, c, v = triples[mid]
+        yield _with(mats, name, triples + ((r, c, -1), (r, c, 1)))
+        yield _with(mats, name, triples[:mid] + ((r, c, v - 1), (r, c, 1)) + triples[mid + 1 :])
+        yield _with(mats, name, triples + ((0, n - 1, 1), (0, n - 1, -1)))
+        yield _with(mats, name, triples + ((n - 1, 0, 0),))
+
+
+def test_verify_sl2_equals_the_commutator_oracle_on_the_algebra_bases():
+    verdicts = Counter()
+    for ws in SL2_BASES:
+        basis = build_basis(ws, 8)
+        mats = action_matrices(basis)
+        assert verify_sl2(mats) is _sl2_by_commutators(mats) is True, ws
+        for changed in _perturbations(mats, basis, 43):
+            verdict = verify_sl2(changed)
+            assert verdict is _sl2_by_commutators(changed), ws
+            verdicts[verdict] += 1
+    # Both verdicts occur: every unit change fails and every kept matrix passes.
+    assert verdicts[True] == 4 * 3 * 4, verdicts
+
+
+def _conjugated(mats: ActionMatrices) -> ActionMatrices:
+    """E, F and H conjugated by I + N, N the ones above the diagonal: H is no longer diagonal."""
+    n = mats.size
+    shift = np.eye(n, k=1, dtype=np.int64)
+    p = np.eye(n, dtype=np.int64) + shift
+    p_inv = sum(np.linalg.matrix_power(-shift, k) for k in range(n))
+    assert np.array_equal(p @ p_inv, np.eye(n, dtype=np.int64))
+
+    def conj(triples):
+        mat = p @ dense(triples, n) @ p_inv
+        return tuple((r, c, int(mat[r, c])) for r, c in zip(*np.nonzero(mat)))
+
+    return dataclasses.replace(mats, e=conj(mats.e), f=conj(mats.f), h=conj(mats.h))
+
+
+def test_verify_sl2_takes_the_commutators_for_an_h_that_is_not_diagonal():
+    for ws, level in [((1, 1), 2), ((2, 1), 3), ((2, 2), 4)]:
+        basis = build_basis(ws, level)
+        mats = _conjugated(action_matrices(basis))
+        assert any(r != c for r, c, _ in mats.h), ws
+        assert verify_sl2(mats) is _sl2_by_commutators(mats) is dense_sl2(mats) is True, ws
+        for changed in _perturbations(mats, basis, 1):
+            assert verify_sl2(changed) is _sl2_by_commutators(changed), ws
+
+
 def test_h_is_diagonal_and_carries_the_weight_census(default_sweep):
     for ws, level, basis in default_sweep:
         h = action_matrices(basis).h
@@ -225,12 +315,22 @@ def test_action_matrices_json_sorts_triples_and_drops_zeros():
 def test_build_basis_builds_no_oriented_match(monkeypatch):
     built = []
     original = diagrams.OrientedLowerMatch.__post_init__
+    original_unchecked = diagrams.OrientedLowerMatch._unchecked
 
     def counting(self):
         built.append(self.downs)
         original(self)
 
+    def counting_unchecked(base, downs):
+        built.append(downs)
+        return original_unchecked(base, downs)
+
+    # Both constructors count: the checked one and the one the package uses
+    # for down counts it takes from 0..mu itself.
     monkeypatch.setattr(diagrams.OrientedLowerMatch, "__post_init__", counting)
+    monkeypatch.setattr(
+        diagrams.OrientedLowerMatch, "_unchecked", staticmethod(counting_unchecked)
+    )
     bases = [build_basis(ws, 8) for ws in SL2_BASES] + [build_basis((2, 1, 2), 3)]
     assert built == []
     # The count is live: the oriented elements are built on access, one per vector.

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fusionkit.bracketing import BracketTree, _check_level, enumerate_trees, parse_bracketing
 from fusionkit.ring import (
     RingElement,
+    _product,
     dim_hom_fusion,
     dim_hom_tensor,
     fuse_many,
@@ -117,6 +118,59 @@ def test_ring_element_json_keys_are_ascii_digit_runs(key):
     with pytest.raises(ValueError, match="ASCII digits"):
         RingElement({key: 1})
     assert RingElement.from_json_dict({"coeffs": {"3": 1, "10": -2}}).coeffs == {3: 1, 10: -2}
+
+
+# --------------------------------------- results built without re-validation
+
+
+def _product_oracle(x: RingElement, y: RingElement, level: int | None = None) -> RingElement:
+    """Oracle: the weight strings summed term by term into the validating constructor."""
+    acc: dict[int, int] = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            top = i + j if level is None else min(i + j, 2 * level - i - j)
+            for k in range(abs(i - j), top + 1, 2):
+                acc[k] = acc.get(k, 0) + ci * cj
+    return RingElement(acc)
+
+
+def _assert_same_element(got: RingElement, expected: RingElement) -> None:
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert list(got.coeffs.items()) == list(expected.coeffs.items())
+    assert got.support() == expected.support()
+
+
+ELEMENTS = st.dictionaries(st.integers(0, 8), st.integers(-2, 2), max_size=5).map(RingElement)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELEMENTS, ELEMENTS, st.one_of(st.none(), st.integers(1, 8)))
+def test_products_equal_the_validated_constructor(x, y, level):
+    _assert_same_element(_product(x, y, level), _product_oracle(x, y, level))
+    _assert_same_element(x * y, _product_oracle(x, y))
+
+
+def test_products_drop_coefficients_that_cancel():
+    # V1·V1 = V0 + V2 and V1·V3 = V2 + V4, so V2 cancels in V1·(V1 - V3).
+    got = RingElement({1: 1}) * RingElement({1: 1, 3: -1})
+    _assert_same_element(got, RingElement({0: 1, 4: -1}))
+    _assert_same_element(got, _product_oracle(RingElement({1: 1}), RingElement({1: 1, 3: -1})))
+    # At level 2 the string of V2·V2 is cut to V0 alone, and V0 - V0 leaves zero.
+    zero = _product(RingElement({2: 1, 0: -1}), RingElement({2: 1, 0: 1}), 2)
+    _assert_same_element(zero, RingElement())
+    assert not zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5), st.integers(0, 3), st.data())
+def test_fuse_many_equals_a_fold_through_the_validated_constructor(ws, extra, data):
+    level = max(max(ws), 1) + extra
+    tree = data.draw(st.sampled_from(enumerate_trees(len(ws))))
+    expected = tree.fold(
+        lambda i: RingElement.simple(ws[i - 1]), lambda a, b: _product_oracle(a, b, level)
+    )
+    _assert_same_element(fuse_many(ws, level, tree), expected)
 
 
 # -------------------------------------------------------------------- tensor_cg
