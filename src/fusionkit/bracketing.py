@@ -237,7 +237,7 @@ def budget_load(m: LowerMatch, tree: BracketTree) -> int:
     operation and load 0.
     """
     _check_tree(tree, m.boxes.count)
-    return kernels.load(m.boxes.sizes, m.arcs, tree.scopes)
+    return kernels._load(m.boxes.sizes, m.arcs, tree.scopes)
 
 
 def budget_loads(sizes, tree: BracketTree) -> tuple[int, ...]:
@@ -254,7 +254,7 @@ def _budget_loads(sizes: tuple[int, ...], tree: BracketTree) -> tuple[int, ...]:
     """:func:`budget_loads` for callers that hold a tuple of ints already."""
     _check_tree(tree, len(sizes))
     scopes = tree.scopes
-    return tuple(kernels.load(sizes, arcs, scopes) for arcs in kernels.enumerate_arc_sets(sizes))
+    return tuple(kernels._load(sizes, arcs, scopes) for arcs in kernels.enumerate_arc_sets(sizes))
 
 
 def search_budget(sizes: tuple[int, ...], level: int, tree: BracketTree):

@@ -18,14 +18,17 @@ The search walks the vertex line left to right keeping a stack of open arcs.
 Three moves are possible at each vertex: leave it unmatched (only when no arc
 is open, since an unmatched vertex may not sit inside an arc), close the
 innermost open arc (only onto a different box), or open a new arc.  Every
-complete walk with an empty stack is a valid lower crossingless match.  As it
-passes the last vertex of a box, it counts the curves of every budgeted
-tensor operation whose scope ends in that box (see :func:`load`), and drops
-the prefix when a count exceeds the level.  Arcs opened later never join two
-vertices of such a scope, so the count on the prefix is final.  Suffix blocks
-could only check scopes inside a closed suffix, and those of the default left
-comb all start at box 1, so a budget keeps the search.  Given no scope, the
-search lists every match: it is the blocks' test oracle.
+complete walk with an empty stack is a valid lower crossingless match.  It
+keeps, per budgeted tensor operation, the count of curve ends its closed arcs
+remove: closing (p, q) adds 2 to each operation that holds both ends in one
+side and 1 to each that holds them across its sides, read from a table per
+(box of p, box of q).  As it passes the last vertex of a box, each operation
+whose scope ends in that box counts |S| less that number (see :func:`_load`),
+and the search drops the prefix when the count exceeds the level.  Arcs closed
+later never join two vertices of such a scope, so the count on the prefix is
+final.  Suffix blocks could only check scopes inside a closed suffix, and those
+of the default left comb all start at box 1, so a budget keeps the search.
+Given no scope, the search lists every match: it is the blocks' test oracle.
 
 Only the untruncated listing of arc tuples is cached, per box tuple; no
 budgeted query repeats, so a search is not, and neither are arc texts, which
@@ -83,12 +86,15 @@ def _layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(box), tuple(prefix)
 
 
-def load(sizes: tuple[int, ...], arcs, scopes) -> int:
+def _load(sizes: tuple[int, ...], arcs, scopes) -> int:
     """The largest count of curves over ``scopes`` (0 for none), as in ``bracketing``.
 
     Each scope is ``(S lo, A hi, B lo, S hi)`` in box indices, for a tensor
-    operation with sides A and B and scope S = A u B.  ``sizes`` is a tuple of
-    nonnegative ints, as every caller holds it, so it is not checked again.
+    operation with sides A and B and scope S = A u B.  ``sizes`` must be a
+    tuple of nonnegative ints: it keys the :func:`_layout` cache unchecked,
+    since this runs once per arc set, so ``(2.0, 1)`` would read the entry of
+    ``(2, 1)``.  Its callers, ``bracketing.budget_load`` and
+    ``bracketing._budget_loads``, hold such tuples.
     """
     box, prefix = _layout(sizes)
     arc_boxes = [(box[p], box[q]) for p, q in arcs]
@@ -157,19 +163,35 @@ def enumerate_arc_sets(
     key = _checked(sizes)
     box_of, prefix = _layout(key)
     w = prefix[-1]
-    # The scopes to count on reaching each vertex: those whose last vertex precedes it.
     level, scopes = budget
-    due: dict[int, list[tuple[int, int, int, int]]] = {}
-    for scope in scopes:
-        due.setdefault(prefix[scope[3]] + 1, []).append(scope)
+    # The scopes to count on reaching each vertex, those whose last vertex
+    # precedes it, as (scope index, |S|).
+    due: dict[int, list[tuple[int, int]]] = {}
+    for i, (slo, _, _, shi) in enumerate(scopes):
+        due.setdefault(prefix[shi] + 1, []).append((i, prefix[shi] - prefix[slo - 1]))
+    # (box of p, box of q) -> (scope index, ends removed) for every scope
+    # holding both ends of an arc (p, q): 2 inside A or inside B, 1 across.
+    boxes = [b for b in range(1, len(key) + 1) if key[b - 1]]
+    bumps = {}
+    for bp, bq in itertools.combinations(boxes, 2):
+        bump = tuple(
+            (i, 2 if bq <= ahi or bp >= blo else 1)
+            for i, (slo, ahi, blo, shi) in enumerate(scopes)
+            if slo <= bp and bq <= shi
+        )
+        if bump:
+            bumps[bp, bq] = bump
+    inner = [0] * len(scopes)
 
     out: list[tuple[tuple[int, int], ...]] = []
     stack: list[int] = []
     arcs: list[tuple[int, int]] = []
 
     def search(pos: int) -> None:
-        if pos in due and load(key, arcs, due[pos]) > level:
-            return
+        if pos in due:
+            for i, size in due[pos]:
+                if size - inner[i] > level:
+                    return
         if pos > w:
             if not stack:
                 out.append(tuple(sorted(arcs)))
@@ -179,9 +201,16 @@ def enumerate_arc_sets(
         if not stack:
             search(pos + 1)
         if stack and box_of[stack[-1]] != box_of[pos]:
-            arcs.append((stack.pop(), pos))
+            p = stack.pop()
+            arcs.append((p, pos))
+            bump = bumps.get((box_of[p], box_of[pos]), ())
+            for i, ends in bump:
+                inner[i] += ends
             search(pos + 1)
-            stack.append(arcs.pop()[0])
+            for i, ends in bump:
+                inner[i] -= ends
+            arcs.pop()
+            stack.append(p)
         stack.append(pos)
         search(pos + 1)
         stack.pop()

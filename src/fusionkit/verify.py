@@ -6,6 +6,17 @@ cases under ``@_property(suite, name)``, which registers it in ``SUITES``.  A
 property returns its case count and the first few counterexamples verbatim, so
 a failing sweep points straight at the offending configuration.  Properties
 run in declaration order on one thread, so the report is in a fixed order.
+
+Properties that walk the same sweep points are declared together, as one
+generator of ``(index, ok, detail)`` cases under
+``@_properties(suite, *names)``, so each point's data is built once: the
+module suite builds one basis and folds one ``fuse_many`` per (ws, l), the
+matches suite enumerates the matches and folds one ``tensor_many`` per ws, and
+the two stratified closed-form properties bucket one ``_stratified_counts``
+per (ws, l).  ``SUITES`` still holds one callable per property.  Within one
+:func:`run_suites` call the first callable of a group runs the sweep and the
+others take the results it held for them; called on its own, a callable runs
+its group's sweep afresh.  Nothing outlives its sweep point or its run.
 """
 
 from __future__ import annotations
@@ -62,27 +73,58 @@ class PropertyResult:
 
 
 Cases = Iterator[tuple[bool, Callable[[], str]]]
+GroupCases = Iterator[tuple[int, bool, Callable[[], str]]]
+Property = Callable[..., PropertyResult]
 
-# suite -> its properties, in declaration order; filled by ``_property``.
-SUITES: dict[str, tuple[Callable[[Bounds], PropertyResult], ...]] = {}
+# suite -> its properties, in declaration order; filled by ``_properties``.
+SUITES: dict[str, tuple[Property, ...]] = {}
+
+
+def _properties(suite: str, *names: str):
+    """Register a sweep of ``(index, ok, detail)`` cases as properties ``names`` of ``suite``.
+
+    The sweep runs once and counts each case, through
+    :meth:`PropertyResult.check`, towards the property ``names[index]``, while
+    it is paused at that case, so ``detail`` still sees the case's loop
+    variables.  One callable per name is registered and returned, in order.
+    Called as ``run(bounds)`` it runs the sweep and returns its own result.
+    Called as ``run(bounds, held)``, with a dict that :func:`run_suites` owns
+    for one run, it takes its result from ``held`` if a sibling's sweep left
+    it there, and otherwise runs the sweep and leaves its siblings' results.
+    """
+    keys = [(suite, name) for name in names]
+
+    def register(sweep: Callable[[Bounds], GroupCases]) -> tuple[Property, ...]:
+        def run_all(bounds: Bounds) -> list[PropertyResult]:
+            results = [PropertyResult(suite, name) for name in names]
+            for index, ok, detail in sweep(bounds):
+                results[index].check(ok, detail)
+            return results
+
+        def runner(index: int) -> Property:
+            def run(bounds: Bounds, held: dict | None = None) -> PropertyResult:
+                if held is None:
+                    return run_all(bounds)[index]
+                if keys[index] not in held:
+                    held.update(zip(keys, run_all(bounds)))
+                return held.pop(keys[index])
+
+            return run
+
+        runs = tuple(runner(index) for index in range(len(names)))
+        SUITES[suite] = SUITES.get(suite, ()) + runs
+        return runs
+
+    return register
 
 
 def _property(suite: str, name: str):
-    """Register a sweep of ``(ok, detail)`` cases as property ``name`` of ``suite``.
+    """Register a sweep of ``(ok, detail)`` cases as property ``name`` of ``suite``."""
 
-    The registered callable runs the sweep at the given bounds and counts each
-    case through :meth:`PropertyResult.check`, while the sweep is paused at
-    that case, so ``detail`` still sees the case's loop variables.
-    """
-
-    def register(sweep: Callable[[Bounds], Cases]) -> Callable[[Bounds], PropertyResult]:
-        def run(bounds: Bounds) -> PropertyResult:
-            res = PropertyResult(suite, name)
-            for ok, detail in sweep(bounds):
-                res.check(ok, detail)
-            return res
-
-        SUITES[suite] = SUITES.get(suite, ()) + (run,)
+    def register(sweep: Callable[[Bounds], Cases]) -> Property:
+        (run,) = _properties(suite, name)(
+            lambda bounds: ((0, ok, detail) for ok, detail in sweep(bounds))
+        )
         return run
 
     return register
@@ -174,40 +216,6 @@ def _ring_generator_assoc_comm(bounds: Bounds) -> Cases:
 # ------------------------------------------------------------- matches suite
 
 
-@_property("matches", "cm_count_equals_hom_dim")
-def _matches_cm_count_equals_hom_dim(bounds: Bounds) -> Cases:
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
-        counts: dict[int, int] = {}
-        for m in diagrams.enumerate_lcm(ws):
-            counts[m.mu] = counts.get(m.mu, 0) + 1
-        product = ring.tensor_many(ws)
-        for mu in range(sum(ws) + 1):
-            got = counts.get(mu, 0)
-            expected = product.coeff(mu)
-            yield got == expected, lambda: f"ws={ws} mu={mu}: {got} matches, hom dim {expected}"
-
-
-@_property("matches", "oriented_total_dimension")
-def _matches_oriented_total_dimension(bounds: Bounds) -> Cases:
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
-        total = sum(m.mu + 1 for m in diagrams.enumerate_lcm(ws))
-        expected = 1
-        for w in ws:
-            expected *= w + 1
-        yield total == expected, lambda: f"ws={ws}: oriented total {total} != {expected}"
-
-
-@_property("matches", "weight_census")
-def _matches_weight_census(bounds: Bounds) -> Cases:
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
-        census: dict[int, int] = {}
-        for m in diagrams.enumerate_lcm(ws):
-            for o in diagrams.orientations(m):
-                census[o.weight] = census.get(o.weight, 0) + 1
-        expected = ring.weight_multiplicities(ring.tensor_many(ws))
-        yield census == expected, lambda: f"ws={ws}: census {census} != {expected}"
-
-
 def _all_partial_matchings(n: int):
     """Every partial matching of 1..n, as a sorted tuple of pairs."""
 
@@ -241,28 +249,65 @@ def _unit_box_matchings(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-@_property("matches", "brute_force_equivalence")
-def _matches_brute_force_equivalence(bounds: Bounds) -> Cases:
+@_properties(
+    "matches",
+    "cm_count_equals_hom_dim",
+    "oriented_total_dimension",
+    "weight_census",
+    "brute_force_equivalence",
+    "no_nested_unmatched",
+)
+def _matches_properties(bounds: Bounds) -> GroupCases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
-        if sum(ws) > 10:
-            continue
-        boxes = diagrams.BoxConfig(ws)
-        brute = [
-            arcs for arcs in _unit_box_matchings(boxes.total) if diagrams.validate(boxes, arcs)
-        ]
-        fast = [m.arcs for m in diagrams.enumerate_lcm(boxes)]
-        yield brute == fast, lambda: f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}"
+        matches = diagrams.enumerate_lcm(ws)
+        product = ring.tensor_many(ws)
 
+        counts: dict[int, int] = {}
+        for m in matches:
+            counts[m.mu] = counts.get(m.mu, 0) + 1
+        for mu in range(sum(ws) + 1):
+            got = counts.get(mu, 0)
+            expected = product.coeff(mu)
+            yield 0, got == expected, lambda: f"ws={ws} mu={mu}: {got} matches, hom dim {expected}"
 
-@_property("matches", "no_nested_unmatched")
-def _matches_no_nested_unmatched(bounds: Bounds) -> Cases:
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
-        for m in diagrams.enumerate_lcm(ws):
+        total = sum(m.mu + 1 for m in matches)
+        expected = 1
+        for w in ws:
+            expected *= w + 1
+        yield 1, total == expected, lambda: f"ws={ws}: oriented total {total} != {expected}"
+
+        census: dict[int, int] = {}
+        for m in matches:
+            for o in diagrams.orientations(m):
+                census[o.weight] = census.get(o.weight, 0) + 1
+        expected = ring.weight_multiplicities(product)
+        yield 2, census == expected, lambda: f"ws={ws}: census {census} != {expected}"
+
+        if sum(ws) <= 10:
+            boxes = diagrams.BoxConfig(ws)
+            brute = [
+                arcs
+                for arcs in _unit_box_matchings(boxes.total)
+                if diagrams.validate(boxes, arcs)
+            ]
+            fast = [m.arcs for m in matches]
+            yield 3, brute == fast, lambda: f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}"
+
+        for m in matches:
             nested = any(
                 p < u < q for u in m.unmatched() for p, q in m.arcs
             )
             valid = diagrams.validate(m.boxes, m.arcs)
-            yield not nested and valid, lambda: f"ws={ws} arcs={m.arcs}"
+            yield 4, not nested and valid, lambda: f"ws={ws} arcs={m.arcs}"
+
+
+(
+    _matches_cm_count_equals_hom_dim,
+    _matches_oriented_total_dimension,
+    _matches_weight_census,
+    _matches_brute_force_equivalence,
+    _matches_no_nested_unmatched,
+) = _matches_properties
 
 
 # ---------------------------------------------------------- bracketing suite
@@ -318,10 +363,8 @@ def _bracketing_level_monotonicity(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         tree = BracketTree.left_comb(len(ws))
         for m in diagrams.enumerate_lcm(ws):
-            passes = [
-                bracketing.satisfies_truncation(m, level, tree)
-                for level in range(1, bounds.max_level + 1)
-            ]
+            load = bracketing.budget_load(m, tree)
+            passes = [load <= level for level in range(1, bounds.max_level + 1)]
             for level, lower, higher in zip(itertools.count(1), passes, passes[1:]):
                 yield (
                     higher or not lower,
@@ -360,40 +403,40 @@ def _stratified_counts(ws, level):
     return by_n, by_c
 
 
-@_property("bracketing", "stratified_no_cross_closed_form")
-def _bracketing_stratified_no_cross(bounds: Bounds) -> Cases:
+@_properties("bracketing", "stratified_no_cross_closed_form", "stratified_cross_closed_form")
+def _bracketing_stratified_properties(bounds: Bounds) -> GroupCases:
     for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=3):
         w1, w2, w3 = ws
         for level in _levels(ws, bounds):
-            by_n, _ = _stratified_counts(ws, level)
+            by_n, by_c = _stratified_counts(ws, level)
             for n in range(sum(ws) // 2 + 1):
                 got_a = by_n["s1"].get(n, 0)
                 got_b = by_n["s2"].get(n, 0)
                 formula_a = bracketing.ra_count(w1, w2, w3, level, n)
                 formula_b = bracketing.rb_count(w1, w2, w3, level, n)
                 yield (
+                    0,
                     got_a == formula_a and got_b == formula_b,
                     lambda: f"ws={ws} l={level} n={n}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
-
-
-@_property("bracketing", "stratified_cross_closed_form")
-def _bracketing_stratified_with_cross(bounds: Bounds) -> Cases:
-    for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=3):
-        w1, w2, w3 = ws
-        for level in _levels(ws, bounds):
-            _, by_c = _stratified_counts(ws, level)
             for c in range(1, min(w1, w3) + 1):
                 got_a = by_c["s1"].get(c, 0)
                 got_b = by_c["s2"].get(c, 0)
                 formula_a = bracketing.ra_count_c(w1, w2, w3, level, c)
                 formula_b = bracketing.rb_count_c(w1, w2, w3, level, c)
                 yield (
+                    1,
                     got_a == formula_a and got_b == formula_b,
                     lambda: f"ws={ws} l={level} c={c}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
+
+
+(
+    _bracketing_stratified_no_cross,
+    _bracketing_stratified_with_cross,
+) = _bracketing_stratified_properties
 
 
 @_property("bracketing", "ra_equals_rb")
@@ -420,36 +463,44 @@ def _module_sweep(bounds: Bounds):
             yield ws, level, module_action.build_basis(ws, level)
 
 
-@_property("module", "sl2_relations")
-def _module_sl2_relations(bounds: Bounds) -> Cases:
+@_properties(
+    "module",
+    "sl2_relations",
+    "isotypic_equals_fusion_coeffs",
+    "dimension_matches_fusion",
+    "h_weight_census",
+)
+def _module_properties(bounds: Bounds) -> GroupCases:
     for ws, level, basis in _module_sweep(bounds):
+        fused = ring.fuse_many(ws, level)
+
         ok = module_action.verify_sl2(module_action.action_matrices(basis))
-        yield ok, lambda: f"ws={ws} l={level}: commutation relations fail"
+        yield 0, ok, lambda: f"ws={ws} l={level}: commutation relations fail"
 
-
-@_property("module", "isotypic_equals_fusion_coeffs")
-def _module_isotypic_equals_fusion(bounds: Bounds) -> Cases:
-    for ws, level, basis in _module_sweep(bounds):
         got = module_action.isotypic_census(basis)
-        expected = ring.fuse_many(ws, level).coeffs
-        yield got == expected, lambda: f"ws={ws} l={level}: census {got} != {expected}"
+        expected = fused.coeffs
+        yield 1, got == expected, lambda: f"ws={ws} l={level}: census {got} != {expected}"
 
+        expected = fused.total_dim()
+        yield (
+            2,
+            basis.dim == expected,
+            lambda: f"ws={ws} l={level}: dim {basis.dim} != {expected}",
+        )
 
-@_property("module", "dimension_matches_fusion")
-def _module_dimension_matches(bounds: Bounds) -> Cases:
-    for ws, level, basis in _module_sweep(bounds):
-        expected = ring.fuse_many(ws, level).total_dim()
-        yield basis.dim == expected, lambda: f"ws={ws} l={level}: dim {basis.dim} != {expected}"
-
-
-@_property("module", "h_weight_census")
-def _module_h_weights_match(bounds: Bounds) -> Cases:
-    for ws, level, basis in _module_sweep(bounds):
         census: dict[int, int] = {}
         for o in basis.elements:
             census[o.weight] = census.get(o.weight, 0) + 1
-        expected = ring.weight_multiplicities(ring.fuse_many(ws, level))
-        yield census == expected, lambda: f"ws={ws} l={level}: {census} != {expected}"
+        expected = ring.weight_multiplicities(fused)
+        yield 3, census == expected, lambda: f"ws={ws} l={level}: {census} != {expected}"
+
+
+(
+    _module_sl2_relations,
+    _module_isotypic_equals_fusion,
+    _module_dimension_matches,
+    _module_h_weights_match,
+) = _module_properties
 
 
 # ------------------------------------------------------------ geometry suite
@@ -534,5 +585,10 @@ def _geometry_pair_highest_weight_window(bounds: Bounds) -> Cases:
 
 
 def run_suites(names, bounds: Bounds) -> list[PropertyResult]:
-    """Run the named suites and return their results in declaration order."""
-    return [prop(bounds) for name in names for prop in SUITES[name]]
+    """Run the named suites and return their results in declaration order.
+
+    Each group's sweep runs once: its first property runs it and the others
+    take what it held for them in a dict that lives for this call only.
+    """
+    held: dict = {}
+    return [prop(bounds, held) for name in names for prop in SUITES[name]]

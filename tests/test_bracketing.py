@@ -505,6 +505,46 @@ def _oracle_passing(sizes, tree, level) -> list:
     return [a for a, load in zip(kernels.enumerate_arc_sets(sizes), loads) if load <= level]
 
 
+def _load_search(sizes, budget) -> tuple:
+    """``kernels.enumerate_arc_sets(sizes, budget)`` as the search that rescans its arcs.
+
+    At each vertex after a budgeted scope's last box it scores every closed
+    arc with ``kernels._load``, where the kernel reads counters kept as arcs
+    close; the walk and its pruning are otherwise the same.
+    """
+    key = tuple(sizes)
+    box_of, prefix = kernels.layout(key)
+    w = prefix[-1]
+    level, scopes = budget
+    due: dict = {}
+    for scope in scopes:
+        due.setdefault(prefix[scope[3]] + 1, []).append(scope)
+    out, stack, arcs = [], [], []
+
+    def search(pos: int) -> None:
+        if pos in due and kernels._load(key, arcs, due[pos]) > level:
+            return
+        if pos > w:
+            if not stack:
+                out.append(tuple(sorted(arcs)))
+            return
+        if len(stack) > w - pos + 1:
+            return
+        if not stack:
+            search(pos + 1)
+        if stack and box_of[stack[-1]] != box_of[pos]:
+            arcs.append((stack.pop(), pos))
+            search(pos + 1)
+            stack.append(arcs.pop()[0])
+        stack.append(pos)
+        search(pos + 1)
+        stack.pop()
+
+    search(1)
+    out.sort()
+    return tuple(out)
+
+
 def _assert_pruned_search_agrees_with_oracle(sizes, tree, level):
     full = kernels.enumerate_arc_sets(sizes)
     passing = _oracle_passing(sizes, tree, level)
@@ -520,6 +560,10 @@ def _assert_pruned_search_agrees_with_oracle(sizes, tree, level):
     assert kept == passing, (sizes, tree, level)
     # Given every scope, the root included, the kernel itself is exact.
     assert list(kernels.enumerate_arc_sets(sizes, (level, tree.scopes))) == passing
+    # The counters prune exactly where a rescan of the closed arcs would.
+    for scoped in (budget, (level, tree.scopes)):
+        if scoped is not None:
+            assert kernels.enumerate_arc_sets(sizes, scoped) == _load_search(sizes, scoped)
 
 
 @settings(max_examples=80, deadline=None)
@@ -558,7 +602,8 @@ def test_pruned_search_builds_few_candidates_for_the_reference_query():
     budget = search_budget(sizes, 6, BracketTree.left_comb(8))
     candidates = kernels.enumerate_arc_sets(sizes, budget)
     # 38,165 arc sets in all, of which 577 pass the budget.
-    assert 577 <= len(candidates) <= 887
+    assert len(candidates) == 887
+    assert candidates == _load_search(sizes, budget)
     assert component_census(sizes, 6).total_components == 577
 
 

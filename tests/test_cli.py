@@ -414,6 +414,120 @@ def test_verify_failure_report_is_pinned(capsys, monkeypatch):
     )
 
 
+def test_verify_builds_each_basis_and_folds_each_module_product_once(capsys, monkeypatch):
+    import fusionkit.module_action as module_action_module
+    import fusionkit.ring as ring_module
+
+    calls = {"build_basis": 0, "fuse_many": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(module_action_module, "build_basis")
+    counted(ring_module, "fuse_many")
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f79697aa4e0e3e6a5bfaebd1fe0544475cdcce6448efb850e83f81f9b8e91212"
+    )
+    # 1,174 (ws, l) module points, each built and folded once by its group;
+    # the other fuse_many calls are the ring, bracketing and geometry sweeps'.
+    assert calls == {"build_basis": 1174, "fuse_many": 8370}
+
+
+# The properties registered in groups, each group declared by one sweep.
+GROUPED = {
+    "matches": (
+        "cm_count_equals_hom_dim",
+        "oriented_total_dimension",
+        "weight_census",
+        "brute_force_equivalence",
+        "no_nested_unmatched",
+    ),
+    "bracketing": ("stratified_no_cross_closed_form", "stratified_cross_closed_form"),
+    "module": (
+        "sl2_relations",
+        "isotypic_equals_fusion_coeffs",
+        "dimension_matches_fusion",
+        "h_weight_census",
+    ),
+}
+SMALL = verify.Bounds(max_rank=3, max_weight=3, max_level=4)
+
+
+def _break_every_group(monkeypatch):
+    """Faults that fail properties of every group: products lose their top weight,
+    and the no-cross closed form loses its feasibility bounds."""
+    import fusionkit.bracketing as bracketing_module
+    import fusionkit.ring as ring_module
+
+    real = ring_module._product
+
+    def drop_top(x, y, level=None):
+        out = real(x, y, level)
+        if not out.coeffs:
+            return out
+        top = max(out.coeffs)
+        return ring_module.RingElement({k: c for k, c in out.coeffs.items() if k != top})
+
+    def unbounded_ra(w1, w2, w3, level, n):
+        return max(0, min(w1, n) - max(w1 + w2 - level, w1 + w2 + w3 - n - level) + 1)
+
+    monkeypatch.setattr(ring_module, "_product", drop_top)
+    monkeypatch.setattr(bracketing_module, "ra_count", unbounded_ra)
+
+
+def _summary(result):
+    return (result.suite, result.name, result.cases, result.failure_count, result.failures)
+
+
+def test_verify_grouped_properties_run_alone_equal_their_run_suites_results(monkeypatch):
+    _break_every_group(monkeypatch)
+    props = [prop for suite in GROUPED for prop in verify.SUITES[suite]]
+    results = verify.run_suites(list(GROUPED), SMALL)
+    grouped = [(prop, _summary(r)) for prop, r in zip(props, results) if r.name in GROUPED[r.suite]]
+    assert [summary[:2] for _, summary in grouped] == [
+        (suite, name) for suite, names in GROUPED.items() for name in names
+    ]
+    for prop, expected in reversed(grouped):
+        assert _summary(prop(SMALL)) == expected
+    assert {summary[0] for _, summary in grouped if summary[3]} == set(GROUPED)
+    # The private names the acceptance tests call are the registered callables.
+    assert [prop for prop, _ in grouped] == [
+        verify._matches_cm_count_equals_hom_dim,
+        verify._matches_oriented_total_dimension,
+        verify._matches_weight_census,
+        verify._matches_brute_force_equivalence,
+        verify._matches_no_nested_unmatched,
+        verify._bracketing_stratified_no_cross,
+        verify._bracketing_stratified_with_cross,
+        verify._module_sl2_relations,
+        verify._module_isotypic_equals_fusion,
+        verify._module_dimension_matches,
+        verify._module_h_weights_match,
+    ]
+
+
+def test_verify_holds_no_result_between_runs(monkeypatch):
+    first = verify.run_suites(list(GROUPED), SMALL)
+    assert all(r.passed for r in first)
+    _break_every_group(monkeypatch)
+    second = verify.run_suites(list(GROUPED), SMALL)
+    assert [(r.suite, r.name, r.cases) for r in second] == [
+        (r.suite, r.name, r.cases) for r in first
+    ]
+    assert {r.suite for r in second if not r.passed} == set(GROUPED)
+    monkeypatch.undo()
+    assert all(r.passed for r in verify.run_suites(list(GROUPED), SMALL))
+
+
 def test_verify_output_is_byte_identical_across_runs(capsys):
     outputs = []
     for _ in range(2):
