@@ -258,20 +258,20 @@ def _budget_loads(sizes: tuple[int, ...], tree: BracketTree) -> tuple[int, ...]:
 
 
 def search_budget(sizes: tuple[int, ...], level: int, tree: BracketTree):
-    """The budget ``kernels.enumerate_arc_sets`` prunes with, or None if it prunes nothing.
+    """The budget ``kernels.enumerate_arc_sets`` prunes with, or None to list every match.
 
-    It is ``(level, scopes)``, holding the operations of ``tree`` that end
-    before the last vertex and span more than ``level`` vertices: only those
-    can fail on a prefix the search has passed.  The others, the root among
-    them, are left to :func:`satisfies_truncation`.  None selects the block listing.
+    It is ``(level, scopes)``, holding every operation of ``tree`` that spans
+    more than ``level`` vertices, the root among them: the others fit any
+    match.  So the search returns exactly the matches that pass.  It is None
+    when every such operation covers the whole vertex line, since those are
+    checked only when a walk ends, from either end; then the block listing and
+    :func:`satisfies_truncation` are faster.
     """
     _, prefix = kernels.layout(sizes)
-    scopes = tuple(
-        scope
-        for scope in tree.scopes
-        if prefix[scope[3]] < prefix[-1] and prefix[scope[3]] - prefix[scope[0] - 1] > level
-    )
-    return (level, scopes) if scopes else None
+    scopes = tuple(s for s in tree.scopes if prefix[s[3]] - prefix[s[0] - 1] > level)
+    if all(prefix[shi] - prefix[slo - 1] == prefix[-1] for slo, _, _, shi in scopes):
+        return None
+    return level, scopes
 
 
 def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:

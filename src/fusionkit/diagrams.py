@@ -232,10 +232,9 @@ def enumerate_lcm(boxes, budget=None) -> list[LowerMatch]:
     """All lower crossingless matches on ``boxes``, in canonical order.
 
     Canonical order is lexicographic on the sorted arc tuples, with the empty
-    arc set first.  A ``budget`` from ``bracketing.search_budget`` keeps only
-    the matches whose finished operations fit the level: every match that
-    passes the budget and some that do not, so ``satisfies_truncation`` still
-    gives the verdict.  Only the untruncated arc sets are cached, in the kernel.
+    arc set first.  A ``budget`` from ``bracketing.search_budget`` keeps
+    exactly the matches that fit the level at every operation it holds.  Only
+    the untruncated arc sets are cached, in the kernel.
     """
     boxes = BoxConfig.coerce(boxes)
     arc_sets = kernels.enumerate_arc_sets(boxes.sizes, budget)

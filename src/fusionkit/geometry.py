@@ -161,15 +161,19 @@ class ComponentCensus:
 def truncated_matches(boxes, level, tree: BracketTree | None = None) -> list[LowerMatch]:
     """The matches that fit the level budget of ``tree`` (the left comb by default).
 
-    The search lists only matches whose finished operations fit the level,
-    and ``satisfies_truncation`` decides on each of them.  The order is
+    With a :func:`search_budget` the search lists exactly those matches.
+    Without one, when only operations covering every vertex can fail, the
+    full listing is filtered by ``satisfies_truncation``.  The order is
     canonical.
     """
     boxes = BoxConfig.coerce(boxes)
     level = check_alcove(boxes.sizes, level)
     tree = resolve_tree(tree, boxes.count)
-    matches = enumerate_lcm(boxes, search_budget(boxes.sizes, level, tree))
-    return [m for m in matches if satisfies_truncation(m, level, tree)]
+    budget = search_budget(boxes.sizes, level, tree)
+    matches = enumerate_lcm(boxes, budget)
+    if budget is None:
+        matches = [m for m in matches if satisfies_truncation(m, level, tree)]
+    return matches
 
 
 def component_census(boxes, level: int | None = None, tree: BracketTree | None = None) -> ComponentCensus:

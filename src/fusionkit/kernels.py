@@ -26,22 +26,31 @@ side and 1 to each that holds them across its sides, read from a table per
 whose scope ends in that box counts |S| less that number (see :func:`_load`),
 and the search drops the prefix when the count exceeds the level.  Arcs closed
 later never join two vertices of such a scope, so the count on the prefix is
-final.  Suffix blocks could only check scopes inside a closed suffix, and those
-of the default left comb all start at box 1, so a budget keeps the search.
-Given no scope, the search lists every match: it is the blocks' test oracle.
+final, and the walk keeps exactly the matches that fit every given scope.  A
+scope that ends at the last vertex is counted only when a walk ends, so the
+search walks from the end that leaves fewer such scopes, ties left to right.
+From the right it walks the reversed sizes with mirrored scopes, ``(slo, ahi,
+blo, shi) -> (r+1-shi, r+1-blo, r+1-ahi, r+1-slo)`` on r boxes, and maps each
+arc back, ``(p, q) -> (w+1-q, w+1-p)`` on w vertices; so a right comb prunes
+as the left comb does.  Suffix blocks could only check scopes inside a closed
+suffix, and those of the default left comb all start at box 1, so a budget
+keeps the search.  Given no scope, the search lists every match: it is the
+blocks' test oracle.
 
 Only the untruncated listing of arc tuples is cached, per box tuple; no
 budgeted query repeats, so a search is not, and neither are arc texts, which
 serve one listing each.
 Two caps refuse work before either algorithm starts: ``MAX_VERTICES`` bounds
 the search's recursion depth, and ``MAX_MATCHES`` bounds the size of the
-result, counted beforehand by a Clebsch-Gordan fold; ``(4,)*10``, just under
-it, is built in about 0.6 s as arc tuples and 0.3 s as arc texts.
+result, counted beforehand by a Clebsch-Gordan fold above 22 vertices (on
+fewer, no tuple can exceed it); ``(4,)*10``, just under it, is built in about
+0.6 s as arc tuples and 0.3 s as arc texts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import lru_cache
 
@@ -116,8 +125,13 @@ def _checked(sizes) -> tuple[int, ...]:
     sizes = [operator.index(s) for s in sizes]
     if any(s < 0 for s in sizes):
         raise ValueError(f"box sizes must be nonnegative, got {sizes}")
-    if sum(sizes) > MAX_VERTICES:
-        raise ValueError(f"enumeration supports at most {MAX_VERTICES} vertices, got {sum(sizes)}")
+    n = sum(sizes)
+    if n > MAX_VERTICES:
+        raise ValueError(f"enumeration supports at most {MAX_VERTICES} vertices, got {n}")
+    # comb(n, n // 2) counts the matches on n boxes of 1, which bound those
+    # of every tuple on n vertices, so the fold runs only above 22 vertices.
+    if math.comb(n, n // 2) <= MAX_MATCHES:
+        return tuple(sizes)
     count = _match_count(sizes)
     if count > MAX_MATCHES:
         raise ValueError(f"enumeration supports at most {MAX_MATCHES} matches, got {count}")
@@ -155,15 +169,45 @@ def enumerate_arc_sets(
     in box indices as in ``bracketing``.  Only the arc sets that fit the level
     at every given scope are kept, a sub-list of the full result.  The caps
     apply to the full result either way.  Without a budget the list is built
-    from blocks and cached (:func:`_listing`); with one, the search finds it.
+    from blocks and cached (:func:`_listing`); with one, the search finds it,
+    walking from either end.
     """
     if budget is None:
         # Indexed before the lookup: (2.0, 1) is a key equal to (2, 1).
         return _listing(tuple(map(operator.index, sizes)))
     key = _checked(sizes)
+    level, scopes = budget
+    _, prefix = _layout(key)
+    w = prefix[-1]
+    # A walk checks a scope on passing its last vertex, so one that ends at
+    # the walk's last vertex prunes nothing: walk from the end with fewer.
+    if sum(prefix[slo - 1] == 0 for slo, _, _, _ in scopes) < sum(
+        prefix[shi] == w for _, _, _, shi in scopes
+    ):
+        r = len(key)
+        mirrored = [
+            (r + 1 - shi, r + 1 - blo, r + 1 - ahi, r + 1 - slo) for slo, ahi, blo, shi in scopes
+        ]
+        # Arcs close by ascending end, so mapped back they run by descending
+        # start: reversed, each arc set is sorted.
+        found = [
+            tuple((w + 1 - q, w + 1 - p) for p, q in reversed(arcs))
+            for arcs in _search(key[::-1], level, mirrored)
+        ]
+    else:
+        found = [tuple(sorted(arcs)) for arcs in _search(key, level, scopes)]
+    found.sort()
+    return tuple(found)
+
+
+def _search(key: tuple[int, ...], level: int, scopes) -> list[tuple[tuple[int, int], ...]]:
+    """The arc sets on ``key`` that fit ``level`` at every scope, each in closing order.
+
+    The walk goes left to right; ``key`` is a checked size tuple and
+    ``scopes`` is as for :func:`enumerate_arc_sets`.
+    """
     box_of, prefix = _layout(key)
     w = prefix[-1]
-    level, scopes = budget
     # The scopes to count on reaching each vertex, those whose last vertex
     # precedes it, as (scope index, |S|).
     due: dict[int, list[tuple[int, int]]] = {}
@@ -194,7 +238,7 @@ def enumerate_arc_sets(
                     return
         if pos > w:
             if not stack:
-                out.append(tuple(sorted(arcs)))
+                out.append(tuple(arcs))
             return
         if len(stack) > w - pos + 1:
             return
@@ -216,8 +260,7 @@ def enumerate_arc_sets(
         stack.pop()
 
     search(1)
-    out.sort()
-    return tuple(out)
+    return out
 
 
 def _blocks(w: int, box_of: tuple[int, ...], unit) -> list:

@@ -545,25 +545,36 @@ def _load_search(sizes, budget) -> tuple:
     return tuple(out)
 
 
+def _mirrored_search(sizes, budget) -> tuple:
+    """``kernels.enumerate_arc_sets`` on the reversed sizes and mirrored scopes, mapped back."""
+    r, w = len(sizes), sum(sizes)
+    level, scopes = budget
+    mirrored = tuple(
+        (r + 1 - shi, r + 1 - blo, r + 1 - ahi, r + 1 - slo) for slo, ahi, blo, shi in scopes
+    )
+    found = kernels.enumerate_arc_sets(tuple(reversed(sizes)), (level, mirrored))
+    return tuple(sorted(tuple(sorted((w + 1 - q, w + 1 - p) for p, q in arcs)) for arcs in found))
+
+
 def _assert_pruned_search_agrees_with_oracle(sizes, tree, level):
-    full = kernels.enumerate_arc_sets(sizes)
     passing = _oracle_passing(sizes, tree, level)
     budget = search_budget(sizes, level, tree)
-    candidates = enumerate_lcm(sizes, budget)
-    arcs = [m.arcs for m in candidates]
-    # Sound: a sub-list of the full enumeration holding every passing arc set.
-    assert set(passing) <= set(arcs), (sizes, tree, level)
-    assert arcs == [a for a in full if a in set(arcs)], (sizes, tree, level)
-    assert len(set(arcs)) == len(arcs)
-    # Exact after the per-match verdict.
-    kept = [m.arcs for m in candidates if satisfies_truncation(m, level, tree)]
-    assert kept == passing, (sizes, tree, level)
+    # With a budget the search is exact; without one it lists every match.
+    expected = passing if budget is not None else list(kernels.enumerate_arc_sets(sizes))
+    assert list(kernels.enumerate_arc_sets(sizes, budget)) == expected, (sizes, tree, level)
+    if level >= max(sizes, default=0):
+        # Exact either way, through the per-match verdict when there is no budget.
+        kept = [m.arcs for m in truncated_matches(sizes, level, tree)]
+        assert kept == passing, (sizes, tree, level)
     # Given every scope, the root included, the kernel itself is exact.
     assert list(kernels.enumerate_arc_sets(sizes, (level, tree.scopes))) == passing
-    # The counters prune exactly where a rescan of the closed arcs would.
     for scoped in (budget, (level, tree.scopes)):
         if scoped is not None:
-            assert kernels.enumerate_arc_sets(sizes, scoped) == _load_search(sizes, scoped)
+            # The counters prune exactly where a rescan of the closed arcs would,
+            found = kernels.enumerate_arc_sets(sizes, scoped)
+            assert found == _load_search(sizes, scoped), (sizes, tree, level)
+            # and a walk from the other end finds the same list.
+            assert found == _mirrored_search(sizes, scoped), (sizes, tree, level)
 
 
 @settings(max_examples=80, deadline=None)
@@ -587,14 +598,17 @@ def test_pruned_search_agrees_with_enumerate_then_filter_exhaustively():
 
 def test_search_budget_keeps_only_operations_that_can_fail_early():
     left = BracketTree.left_comb(3)
-    # (12) spans four vertices and ends at vertex 4 of 6; the root is left out.
-    assert search_budget((2, 2, 2), 1, left) == (1, ((1, 1, 2, 2),))
-    # At level 4 the four vertices of (12) always fit.
+    # (12) spans four vertices of 6 and the root six: both can fail at level 1.
+    assert search_budget((2, 2, 2), 1, left) == (1, ((1, 1, 2, 2), (1, 2, 3, 3)))
+    # At level 4 the four vertices of (12) always fit and only the root binds.
     assert search_budget((2, 2, 2), 4, left) is None
-    # Every operation of a right comb ends at the last vertex.
-    assert search_budget((2, 2, 2), 1, BracketTree.right_comb(3)) is None
-    # A trailing empty box moves no vertex: (12) still ends at the last one.
+    # A right comb's (23) ends at the last vertex; a walk from the right checks it early.
+    right = BracketTree.right_comb(3)
+    assert search_budget((2, 2, 2), 1, right) == (1, ((2, 2, 3, 3), (1, 1, 2, 3)))
+    # A trailing empty box moves no vertex: (12) covers the whole line too.
     assert search_budget((2, 2, 0), 1, left) is None
+    # A single operation is the root.
+    assert search_budget((2, 2), 2, BracketTree.left_comb(2)) is None
 
 
 def test_pruned_search_builds_few_candidates_for_the_reference_query():
@@ -602,9 +616,19 @@ def test_pruned_search_builds_few_candidates_for_the_reference_query():
     budget = search_budget(sizes, 6, BracketTree.left_comb(8))
     candidates = kernels.enumerate_arc_sets(sizes, budget)
     # 38,165 arc sets in all, of which 577 pass the budget.
-    assert len(candidates) == 887
+    assert len(candidates) == 577
     assert candidates == _load_search(sizes, budget)
     assert component_census(sizes, 6).total_components == 577
+
+
+def test_right_comb_reference_query_walks_from_the_right_without_a_listing():
+    sizes = (4,) * 8
+    tree = BracketTree.right_comb(8)
+    kernels._listing.cache_clear()
+    census = component_census(sizes, 6, tree)
+    assert census.total_components == 577
+    assert census.per_mu == component_census(sizes, 6).per_mu
+    assert kernels._listing.cache_info().currsize == 0
 
 
 def test_untruncated_callers_share_one_kernel_cache_entry_per_box_tuple():
@@ -616,7 +640,7 @@ def test_untruncated_callers_share_one_kernel_cache_entry_per_box_tuple():
         component_census(ws, None)
         enumerate_lcm(ws)
         budget_loads(ws, tree)
-        # A truncated census whose operations all end at the last vertex.
+        # A truncated census on a right comb, searched or filtered from the listing.
         component_census(ws, max(ws), BracketTree.right_comb(len(ws)))
         assert kernels._listing.cache_info().currsize == n, ws
 
@@ -640,7 +664,7 @@ def test_pruned_searches_leave_the_kernel_cache_unchanged():
                     first = ask()
                     assert ask() == first
                     assert kernels._listing.cache_info().currsize == 1, (sizes, tree, level)
-    assert pruned == 15
+    assert pruned == 23
     assert kernels._listing.cache_info().hits == 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 import pytest
@@ -97,6 +98,35 @@ def test_kernel_refuses_more_than_max_matches_before_searching():
         kernels.enumerate_arc_sets((4,) * 16)
     assert time.perf_counter() - start < 1.0
     assert len(kernels.enumerate_arc_sets((4,) * 8)) == 38165
+
+
+def test_unit_box_count_bounds_every_tuple_on_as_many_vertices():
+    # The cap skips the Clebsch-Gordan fold where comb(n, n // 2) fits: boxes
+    # only forbid arcs, so no tuple on n vertices has more matches than n boxes of 1.
+    for n in range(11):
+        bound = kernels._match_count([1] * n)
+        assert bound == math.comb(n, n // 2)
+        for sizes in _compositions(n):
+            assert kernels._match_count(sizes) <= bound, sizes
+
+
+def test_match_cap_folds_only_above_twenty_two_vertices(monkeypatch):
+    assert math.comb(22, 11) <= kernels.MAX_MATCHES < math.comb(23, 11)
+
+    def refuse(sizes):
+        raise AssertionError(f"folded {sizes}")
+
+    monkeypatch.setattr(kernels, "_match_count", refuse)
+    assert len(kernels.enumerate_arc_sets((11, 11), (11, ()))) == 12
+    with pytest.raises(AssertionError, match="folded"):
+        kernels.enumerate_arc_sets((12, 11), (12, ()))
+
+
+def test_kernel_refuses_unit_boxes_past_max_matches():
+    with pytest.raises(ValueError, match="at most 1000000 matches, got 2704156"):
+        kernels.enumerate_arc_sets((1,) * 24, (1, ()))
+    with pytest.raises(ValueError, match="at most 1000000 matches, got 2704156"):
+        kernels.enumerate_arc_sets((1,) * 24)
 
 
 def test_cached_wrapper_returns_tuples():
