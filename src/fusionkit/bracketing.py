@@ -15,11 +15,12 @@ The closed-form stratum counts ``ra_count``/``rb_count`` (and the ``_c``
 variants for diagrams with arcs joining the outer factors) count the
 budget-passing matches of one stratum of three factors.  A match in such a
 stratum is fixed by ``a``, its number of box1-box2 arcs, and ``b``, its number
-of box2-box3 arcs, so each count is the length of an interval of ``a`` (or
-``b``), clamped at zero.  The classical formulas bound that interval by the
+of box2-box3 arcs, so each left-comb count is the length of an interval of
+``a``, clamped at zero.  The classical formulas bound that interval by the
 level budget alone; the stratum's own feasibility bounds (no negative arc
 counts, no box holding more arc ends than vertices) are added to the lower end,
-so that no stratum is counted that cannot exist.
+so that no stratum is counted that cannot exist.  The right-comb counts are the
+left-comb ones on the reversed factors.
 """
 
 from __future__ import annotations
@@ -322,20 +323,13 @@ def ra_count(w1, w2, w3, level, n) -> int:
 
 
 def rb_count(w1, w2, w3, level, n) -> int:
-    """Mirror of :func:`ra_count` for the right comb on three factors.
+    """Closed-form stratum count for the right comb on three factors.
 
-    Runs over ``b``, the number of box2-box3 arcs: the classical terms are
-    ``b <= min(w3, n)``, ``b >= w2 + w3 - level`` (budget at ``(23)``) and
-    ``b >= w1 + w2 + w3 - n - level`` (budget at the root); feasibility adds
-    ``b >= 0``, ``b >= n - w1`` (``a <= w1``) and ``n <= w2``.
+    Reversing the factors maps the right comb to the left comb and keeps the
+    stratum (``n`` lower arcs, none joining the outer factors), so this is
+    :func:`ra_count` on ``(w3, w2, w1)``.
     """
-    w1, w2, w3 = (_as_weight(w) for w in (w1, w2, w3))
-    level = _check_level(level)
-    n = operator.index(n)
-    if n > w2:
-        return 0
-    value = min(w3, n) - max(w2 + w3 - level, w1 + w2 + w3 - n - level, 0, n - w1) + 1
-    return max(0, value)
+    return ra_count(w3, w2, w1, level, n)
 
 
 def ra_count_c(w1, w2, w3, level, c) -> int:
@@ -358,17 +352,10 @@ def ra_count_c(w1, w2, w3, level, c) -> int:
 
 
 def rb_count_c(w1, w2, w3, level, c) -> int:
-    """Mirror of :func:`ra_count_c` for the right comb.
+    """Right-comb stratum count for diagrams with ``c >= 1`` outer-joining arcs.
 
-    Runs over ``b = w2 - a``: the classical terms are ``b <= min(w3 - c, w2)``,
-    ``b >= w2 + w3 - level`` (budget at ``(23)``) and
-    ``b >= w1 + w3 - level - c`` (budget at the root); feasibility adds
-    ``b >= 0`` and ``b >= w2 - w1 + c`` (``a + c <= w1``).
+    Reversing the factors maps the right comb to the left comb and keeps the
+    ``c`` arcs joining the outer factors, so this is :func:`ra_count_c` on
+    ``(w3, w2, w1)``.
     """
-    w1, w2, w3 = (_as_weight(w) for w in (w1, w2, w3))
-    level = _check_level(level)
-    c = operator.index(c)
-    if c < 1:
-        raise ValueError(f"need at least one outer-joining arc, got c={c}")
-    value = min(w3 - c, w2) - max(w2 + w3 - level, w1 + w3 - level - c, 0, w2 - w1 + c) + 1
-    return max(0, value)
+    return ra_count_c(w3, w2, w1, level, c)

@@ -163,7 +163,8 @@ def truncated_matches(boxes, level, tree: BracketTree | None = None) -> list[Low
 
     With a :func:`search_budget` the search lists exactly those matches.
     Without one, when only operations covering every vertex can fail, the
-    full listing is filtered by ``satisfies_truncation``.  The order is
+    full listing is filtered by ``satisfies_truncation``, unless the level is
+    at least the vertex count, which no scope's count can pass.  The order is
     canonical.
     """
     boxes = BoxConfig.coerce(boxes)
@@ -171,7 +172,7 @@ def truncated_matches(boxes, level, tree: BracketTree | None = None) -> list[Low
     tree = resolve_tree(tree, boxes.count)
     budget = search_budget(boxes.sizes, level, tree)
     matches = enumerate_lcm(boxes, budget)
-    if budget is None:
+    if budget is None and level < boxes.total:
         matches = [m for m in matches if satisfies_truncation(m, level, tree)]
     return matches
 

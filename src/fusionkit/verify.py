@@ -12,8 +12,10 @@ generator of ``(index, ok, detail)`` cases under
 ``@_properties(suite, *names)``, so each point's data is built once: the
 module suite builds one basis and folds one ``fuse_many`` per (ws, l), the
 matches suite enumerates the matches and folds one ``tensor_many`` per ws, and
-the two stratified closed-form properties bucket one ``_stratified_counts``
-per (ws, l).  ``SUITES`` still holds one callable per property.  Within one
+the three closed-form properties bucket one ``_stratified_counts`` per (ws, l)
+and evaluate each form once per stratum (``rb_count`` is ``ra_count`` on the
+reversed factors, so ``ra_equals_rb`` checks the reversal symmetry of
+``ra_count``).  ``SUITES`` still holds one callable per property.  Within one
 :func:`run_suites` call the first callable of a group runs the sweep and the
 others take the results it held for them; called on its own, a callable runs
 its group's sweep afresh.  Nothing outlives its sweep point or its run.
@@ -245,7 +247,7 @@ def _unit_box_matchings(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """
     unit = diagrams.BoxConfig((1,) * n or (0,))
     return tuple(
-        sorted(arcs for arcs in set(_all_partial_matchings(n)) if diagrams.validate(unit, arcs))
+        sorted(arcs for arcs in _all_partial_matchings(n) if diagrams.validate(unit, arcs))
     )
 
 
@@ -403,7 +405,12 @@ def _stratified_counts(ws, level):
     return by_n, by_c
 
 
-@_properties("bracketing", "stratified_no_cross_closed_form", "stratified_cross_closed_form")
+@_properties(
+    "bracketing",
+    "stratified_no_cross_closed_form",
+    "stratified_cross_closed_form",
+    "ra_equals_rb",
+)
 def _bracketing_stratified_properties(bounds: Bounds) -> GroupCases:
     for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=3):
         w1, w2, w3 = ws
@@ -420,6 +427,11 @@ def _bracketing_stratified_properties(bounds: Bounds) -> GroupCases:
                     lambda: f"ws={ws} l={level} n={n}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
+                yield (
+                    2,
+                    formula_a == formula_b,
+                    lambda: f"ws={ws} l={level} n={n}: ra={formula_a} rb={formula_b}",
+                )
             for c in range(1, min(w1, w3) + 1):
                 got_a = by_c["s1"].get(c, 0)
                 got_b = by_c["s2"].get(c, 0)
@@ -431,27 +443,18 @@ def _bracketing_stratified_properties(bounds: Bounds) -> GroupCases:
                     lambda: f"ws={ws} l={level} c={c}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
+                yield (
+                    2,
+                    formula_a == formula_b,
+                    lambda: f"ws={ws} l={level} c={c}: ra_c={formula_a} rb_c={formula_b}",
+                )
 
 
 (
     _bracketing_stratified_no_cross,
     _bracketing_stratified_with_cross,
+    _bracketing_ra_equals_rb,
 ) = _bracketing_stratified_properties
-
-
-@_property("bracketing", "ra_equals_rb")
-def _bracketing_ra_equals_rb(bounds: Bounds) -> Cases:
-    for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=3):
-        w1, w2, w3 = ws
-        for level in _levels(ws, bounds):
-            for n in range(sum(ws) // 2 + 1):
-                a = bracketing.ra_count(w1, w2, w3, level, n)
-                b = bracketing.rb_count(w1, w2, w3, level, n)
-                yield a == b, lambda: f"ws={ws} l={level} n={n}: ra={a} rb={b}"
-            for c in range(1, min(w1, w3) + 1):
-                a = bracketing.ra_count_c(w1, w2, w3, level, c)
-                b = bracketing.rb_count_c(w1, w2, w3, level, c)
-                yield a == b, lambda: f"ws={ws} l={level} c={c}: ra_c={a} rb_c={b}"
 
 
 # -------------------------------------------------------------- module suite

@@ -5,9 +5,11 @@ properties and printing a PASS/FAIL line (visible with ``-s`` or on failure)
 with their case counts.  Each criterion also asserts that its sweep is no
 smaller than the released one.  Checks 4a and 4b compare the closed-form
 stratum counts (the classical level-budget terms plus each stratum's
-feasibility bounds) against enumeration across the whole sweep, with no case
-left out; the companion identity 4c, the actual bijection conclusion, holds
-everywhere.
+feasibility bounds) against each comb's own enumeration across the whole
+sweep, with no case left out.  The right-comb forms are the left-comb ones on
+the reversed factors, so 4c checks that the left-comb forms are symmetric under
+that reversal; with 4a and 4b this gives the agreement of the two combs, the
+actual bijection conclusion.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def test_criterion_04b_stratified_counts_with_cross_arcs():
 
 def test_criterion_04c_closed_forms_agree_with_each_other():
     res = verify._bracketing_ra_equals_rb(Bounds())
-    _report("04c", "left/right closed forms agree", [res], 1404)
+    _report("04c", "left-comb closed forms agree on reversed factors", [res], 1404)
 
 
 def test_criterion_05_match_counts_equal_hom_dimensions():

@@ -680,6 +680,27 @@ def test_ra_count_examples():
 def test_rb_count_examples():
     assert rb_count(1, 1, 1, 1, 1) == 1
     assert rb_count(2, 1, 2, 3, 2) == ra_count(2, 1, 2, 3, 2)
+    # The right-comb forms read the factors reversed, so w3 is checked first.
+    with pytest.raises(ValueError, match="got -2"):
+        rb_count(-1, 1, -2, 3, 1)
+
+
+def test_right_comb_strata_are_left_comb_strata_on_reversed_factors():
+    # The premise of rb_count: reversing the factors maps the right comb's
+    # passing matches onto the left comb's, stratum by stratum.
+    left, right = BracketTree.left_comb(3), BracketTree.right_comb(3)
+
+    def strata(ws, level, tree):
+        return Counter(
+            verify._cross_and_lower_counts(m) for m in truncated_matches(ws, level, tree)
+        )
+
+    cases = 0
+    for ws in itertools.product(range(0, 5), repeat=3):
+        for level in range(max(1, *ws), 9):
+            assert strata(ws, level, right) == strata(ws[::-1], level, left), (ws, level)
+            cases += 1
+    assert cases == 724
 
 
 def test_ra_rb_agree_everywhere():

@@ -451,7 +451,11 @@ GROUPED = {
         "brute_force_equivalence",
         "no_nested_unmatched",
     ),
-    "bracketing": ("stratified_no_cross_closed_form", "stratified_cross_closed_form"),
+    "bracketing": (
+        "stratified_no_cross_closed_form",
+        "stratified_cross_closed_form",
+        "ra_equals_rb",
+    ),
     "module": (
         "sl2_relations",
         "isotypic_equals_fusion_coeffs",
@@ -508,6 +512,7 @@ def test_verify_grouped_properties_run_alone_equal_their_run_suites_results(monk
         verify._matches_no_nested_unmatched,
         verify._bracketing_stratified_no_cross,
         verify._bracketing_stratified_with_cross,
+        verify._bracketing_ra_equals_rb,
         verify._module_sl2_relations,
         verify._module_isotypic_equals_fusion,
         verify._module_dimension_matches,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import verify
-from fusionkit.bracketing import BracketTree, satisfies_truncation
+from fusionkit.bracketing import BracketTree, enumerate_trees, satisfies_truncation
 from fusionkit.diagrams import LowerMatch, enumerate_lcm
 from fusionkit.geometry import (
     ComponentCensus,
@@ -20,6 +20,7 @@ from fusionkit.geometry import (
     kernel_profile,
     nl_condition,
     nl_threshold,
+    truncated_matches,
 )
 from fusionkit.ring import fuse_many, weight_multiplicities
 
@@ -205,6 +206,30 @@ def test_component_census_rejects_tree_with_wrong_leaf_count():
     with pytest.raises(ValueError, match="covers leaves 1..5 but there are 2 factors"):
         component_census((1, 1), 2, BracketTree.left_comb(5))
     assert component_census((1, 1), None, BracketTree.left_comb(2)) == component_census((1, 1))
+
+
+def test_truncated_matches_make_no_budget_check_when_no_scope_can_bind(monkeypatch):
+    # A scope's count is at most its vertex count, so from level = total up
+    # every match passes and the listing is returned unfiltered; below it a
+    # query that only the root binds is still filtered.
+    import fusionkit.geometry as geometry_module
+
+    calls = []
+    real = geometry_module.satisfies_truncation
+
+    def counted(m, level, tree):
+        calls.append(level)
+        return real(m, level, tree)
+
+    monkeypatch.setattr(geometry_module, "satisfies_truncation", counted)
+    for r in range(1, 4):
+        for ws in itertools.product(range(0, 4), repeat=r):
+            total = sum(ws)
+            for tree in enumerate_trees(r):
+                for level in range(max(1, total, *ws), total + 3):
+                    assert truncated_matches(ws, level, tree) == enumerate_lcm(ws), (ws, level)
+    assert calls == []
+    assert len(truncated_matches((2, 2), 3)) == 2 and calls == [3, 3, 3]
 
 
 def test_component_census_matches_fusion_dimension():

@@ -41,6 +41,18 @@ def test_unit_box_prefilter_equals_full_filter():
             assert brute_force_arc_sets(sizes) == full, sizes
 
 
+def test_partial_matchings_are_listed_once_each():
+    # The telephone numbers: 1..n has as many partial matchings as involutions.
+    counts = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
+    for n, count in enumerate(counts):
+        listed = list(verify._all_partial_matchings(n))
+        assert len(listed) == len(set(listed)) == count, n
+        unit = diagrams.BoxConfig((1,) * n or (0,))
+        assert verify._unit_box_matchings(n) == tuple(
+            sorted(arcs for arcs in set(listed) if diagrams.validate(unit, arcs))
+        ), n
+
+
 def test_matches_suite_generates_partial_matchings_once_per_vertex_count():
     verify._unit_box_matchings.cache_clear()
     results = verify.run_suites(["matches"], verify.Bounds())
