@@ -177,24 +177,39 @@ def truncated_matches(boxes, level, tree: BracketTree | None = None) -> list[Low
     return matches
 
 
+def _census_matches(boxes, level: int | None, tree: BracketTree | None) -> list[LowerMatch]:
+    """The matches :func:`component_census` counts: untruncated when ``level`` is None."""
+    boxes = BoxConfig.coerce(boxes)
+    if level is None:
+        resolve_tree(tree, boxes.count)  # a tree that does not fit is refused either way
+        return enumerate_lcm(boxes)
+    return truncated_matches(boxes, level, tree)
+
+
+def _counts(matches) -> tuple[dict[int, int], int]:
+    """``(per_mu, total_dim)`` of ``matches``, ``per_mu`` by ascending mu."""
+    per_mu: dict[int, int] = {}
+    for m in matches:
+        per_mu[m.mu] = per_mu.get(m.mu, 0) + 1
+    return dict(sorted(per_mu.items())), sum((mu + 1) * n for mu, n in per_mu.items())
+
+
+def _census_counts(boxes, level: int | None = None, tree: BracketTree | None = None):
+    """``(per_mu, total_dim)`` of :func:`component_census`, without writing its labels."""
+    return _counts(_census_matches(boxes, level, tree))
+
+
 def component_census(boxes, level: int | None = None, tree: BracketTree | None = None) -> ComponentCensus:
     """Census of strata, truncated at ``level`` or untruncated when it is None.
 
     The truncation is :func:`truncated_matches`.  ``total_dim`` adds mu+1 per
     stratum, which is the dimension of the module the census indexes.
     """
-    boxes = BoxConfig.coerce(boxes)
-    if level is None:
-        resolve_tree(tree, boxes.count)  # a tree that does not fit is refused either way
-        matches = enumerate_lcm(boxes)
-    else:
-        matches = truncated_matches(boxes, level, tree)
-    per_mu: dict[int, int] = {}
-    for m in matches:
-        per_mu[m.mu] = per_mu.get(m.mu, 0) + 1
+    matches = _census_matches(boxes, level, tree)
+    per_mu, total_dim = _counts(matches)
     return ComponentCensus(
-        per_mu=dict(sorted(per_mu.items())),
+        per_mu=per_mu,
         total_components=len(matches),
-        total_dim=sum(m.mu + 1 for m in matches),
+        total_dim=total_dim,
         labels=tuple(canonical_keys(matches)),
     )

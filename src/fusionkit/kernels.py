@@ -2,7 +2,7 @@
 
 Two algorithms list the matches, and the input picks one: without a budget
 the matches are built from memoized blocks, with one a pruned search walks
-the vertex line.
+the boxes.
 
 The blocks come from the graphical calculus's decomposition of a lower
 match: it splits at its unmatched vertices and its outermost arcs, and an
@@ -14,37 +14,40 @@ per arc for :func:`enumerate_arc_sets`, or of arc texts for
 :func:`arc_texts`, from which ``diagrams`` writes untruncated listings.  Each
 list is built in canonical order, so nothing is sorted.
 
-The search walks the vertex line left to right keeping a stack of open arcs.
-Three moves are possible at each vertex: leave it unmatched (only when no arc
-is open, since an unmatched vertex may not sit inside an arc), close the
-innermost open arc (only onto a different box), or open a new arc.  Every
-complete walk with an empty stack is a valid lower crossingless match.  It
+The search walks the boxes left to right, as ballot paths.  A lower match is
+fixed by c_a, the number of arcs that close in each box a: the first c_a
+vertices of the box close the c_a most recently opened vertices still open,
+and the rest of the box opens (a vertex that closed after another of its box
+opened would join the two, and no arc lies inside a box).  So at box a the
+walk tries c = 0..min(w_a, open count), and the vertices still open at the end
+are the unmatched ones: none lies under an arc, since arcs close onto the most
+recent.  Every path is a valid match, and no walk dead-ends.  The search
 keeps, per budgeted tensor operation, the count of curve ends its closed arcs
 remove: closing (p, q) adds 2 to each operation that holds both ends in one
 side and 1 to each that holds them across its sides, read from a table per
-(box of p, box of q).  As it passes the last vertex of a box, each operation
-whose scope ends in that box counts |S| less that number (see :func:`_load`),
-and the search drops the prefix when the count exceeds the level.  Arcs closed
-later never join two vertices of such a scope, so the count on the prefix is
-final, and the walk keeps exactly the matches that fit every given scope.  A
-scope that ends at the last vertex is counted only when a walk ends, so the
-search walks from the end that leaves fewer such scopes, ties left to right.
-From the right it walks the reversed sizes with mirrored scopes, ``(slo, ahi,
-blo, shi) -> (r+1-shi, r+1-blo, r+1-ahi, r+1-slo)`` on r boxes, and maps each
-arc back, ``(p, q) -> (w+1-q, w+1-p)`` on w vertices; so a right comb prunes
-as the left comb does.  Suffix blocks could only check scopes inside a closed
-suffix, and those of the default left comb all start at box 1, so a budget
-keeps the search.  Given no scope, the search lists every match: it is the
-blocks' test oracle.
+(box of p, box of q).  After the last box of a scope it counts |S| less that
+number (see :func:`_load`), and drops the prefix when the count exceeds the
+level.  Arcs closed later never join two vertices of such a scope, so the
+count on the prefix is final, and the walk keeps exactly the matches that fit
+every given scope.  A scope that ends at the last vertex is counted only when
+a walk ends, so the search walks from the end that leaves fewer such scopes,
+ties left to right.  From the right it walks the reversed sizes with mirrored
+scopes, ``(slo, ahi, blo, shi) -> (r+1-shi, r+1-blo, r+1-ahi, r+1-slo)`` on r
+boxes, and maps each arc back, ``(p, q) -> (w+1-q, w+1-p)`` on w vertices; so
+a right comb prunes as the left comb does.  Suffix blocks could only check
+scopes inside a closed suffix, and those of the default left comb all start at
+box 1, so a budget keeps the search.  Given no scope, the search lists every
+match by its paths, independently of the blocks: it is their test oracle.
 
 Only the untruncated listing of arc tuples is cached, per box tuple; no
 budgeted query repeats, so a search is not, and neither are arc texts, which
 serve one listing each.
 Two caps refuse work before either algorithm starts: ``MAX_VERTICES`` bounds
-the search's recursion depth, and ``MAX_MATCHES`` bounds the size of the
-result, counted beforehand by a Clebsch-Gordan fold above 22 vertices (on
-fewer, no tuple can exceed it); ``(4,)*10``, just under it, is built in about
-0.6 s as arc tuples and 0.3 s as arc texts.
+the vertex line (the search's recursion is as deep as the box count), and
+``MAX_MATCHES`` bounds the size of the result, counted beforehand by a
+Clebsch-Gordan fold above 22 vertices (on fewer, no tuple can exceed it);
+``(4,)*10``, just under it, is built in about 0.6 s as arc tuples and 0.3 s as
+arc texts.
 """
 
 from __future__ import annotations
@@ -203,63 +206,62 @@ def enumerate_arc_sets(
 def _search(key: tuple[int, ...], level: int, scopes) -> list[tuple[tuple[int, int], ...]]:
     """The arc sets on ``key`` that fit ``level`` at every scope, each in closing order.
 
-    The walk goes left to right; ``key`` is a checked size tuple and
-    ``scopes`` is as for :func:`enumerate_arc_sets`.
+    The walk goes box by box, left to right, and every path it completes is
+    one match: at box a it closes c = 0..min(w_a, open) vertices and opens the
+    rest, so the recursion is as deep as the box count.  ``key`` is a checked
+    size tuple and ``scopes`` is as for :func:`enumerate_arc_sets`.
     """
     box_of, prefix = _layout(key)
-    w = prefix[-1]
-    # The scopes to count on reaching each vertex, those whose last vertex
-    # precedes it, as (scope index, |S|).
-    due: dict[int, list[tuple[int, int]]] = {}
+    r = len(key)
+    # The scopes to count after each box, those ending there, as (scope index, |S|).
+    due: list[list[tuple[int, int]]] = [[] for _ in range(r + 1)]
     for i, (slo, _, _, shi) in enumerate(scopes):
-        due.setdefault(prefix[shi] + 1, []).append((i, prefix[shi] - prefix[slo - 1]))
-    # (box of p, box of q) -> (scope index, ends removed) for every scope
-    # holding both ends of an arc (p, q): 2 inside A or inside B, 1 across.
-    boxes = [b for b in range(1, len(key) + 1) if key[b - 1]]
-    bumps = {}
-    for bp, bq in itertools.combinations(boxes, 2):
-        bump = tuple(
+        due[shi].append((i, prefix[shi] - prefix[slo - 1]))
+    # bumps[bq][bp] lists (scope index, ends removed) for every scope holding
+    # both ends of an arc from box bp to box bq: 2 inside A or inside B, 1 across.
+    bumps = [[()] * (r + 1) for _ in range(r + 1)]
+    for bp, bq in itertools.combinations([b for b in range(1, r + 1) if key[b - 1]], 2):
+        bumps[bq][bp] = tuple(
             (i, 2 if bq <= ahi or bp >= blo else 1)
             for i, (slo, ahi, blo, shi) in enumerate(scopes)
             if slo <= bp and bq <= shi
         )
-        if bump:
-            bumps[bp, bq] = bump
     inner = [0] * len(scopes)
 
     out: list[tuple[tuple[int, int], ...]] = []
-    stack: list[int] = []
+    stack: list[int] = []  # the open vertices, most recent last
     arcs: list[tuple[int, int]] = []
 
-    def search(pos: int) -> None:
-        if pos in due:
-            for i, size in due[pos]:
+    def walk(a: int) -> None:
+        if a > r:
+            out.append(tuple(arcs))
+            return
+        into, due_here = bumps[a], due[a]
+        start = q = prefix[a - 1]
+        end = prefix[a]
+        while True:
+            # Vertices start+1..q have closed; the rest of the box opens.
+            stack.extend(range(q + 1, end + 1))
+            for i, size in due_here:
                 if size - inner[i] > level:
-                    return
-        if pos > w:
-            if not stack:
-                out.append(tuple(arcs))
-            return
-        if len(stack) > w - pos + 1:
-            return
-        if not stack:
-            search(pos + 1)
-        if stack and box_of[stack[-1]] != box_of[pos]:
+                    break
+            else:
+                walk(a + 1)
+            del stack[len(stack) - (end - q) :]
+            if q == end or not stack:
+                break
+            q += 1
             p = stack.pop()
-            arcs.append((p, pos))
-            bump = bumps.get((box_of[p], box_of[pos]), ())
-            for i, ends in bump:
+            arcs.append((p, q))
+            for i, ends in into[box_of[p]]:
                 inner[i] += ends
-            search(pos + 1)
-            for i, ends in bump:
-                inner[i] -= ends
-            arcs.pop()
+        for _ in range(q - start):
+            p = arcs.pop()[0]
             stack.append(p)
-        stack.append(pos)
-        search(pos + 1)
-        stack.pop()
+            for i, ends in into[box_of[p]]:
+                inner[i] -= ends
 
-    search(1)
+    walk(1)
     return out
 
 

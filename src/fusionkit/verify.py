@@ -12,8 +12,9 @@ generator of ``(index, ok, detail)`` cases under
 ``@_properties(suite, *names)``, so each point's data is built once: the
 module suite builds one basis and folds one ``fuse_many`` per (ws, l), the
 matches suite enumerates the matches and folds one ``tensor_many`` per ws, and
-the three closed-form properties bucket one ``_stratified_counts`` per (ws, l)
-and evaluate each form once per stratum (``rb_count`` is ``ra_count`` on the
+the three closed-form properties score each match's loads once per ws
+(``_scored_strata``), bucket one ``_stratified_counts`` per (ws, l) and
+evaluate each form once per stratum (``rb_count`` is ``ra_count`` on the
 reversed factors, so ``ra_equals_rb`` checks the reversal symmetry of
 ``ra_count``).  ``SUITES`` still holds one callable per property.  Within one
 :func:`run_suites` call the first callable of a group runs the sweep and the
@@ -384,19 +385,35 @@ def _cross_and_lower_counts(m: diagrams.LowerMatch) -> tuple[int, int]:
     return cross, len(m.arcs)
 
 
-def _stratified_counts(ws, level):
+def _scored_strata(ws) -> list[tuple[int, int, int, int]]:
+    """(cross, lower, left-comb load, right-comb load) for every match of a three-box tuple.
+
+    A load does not depend on the level, so each match is scored once per
+    tuple and :func:`_stratified_counts` compares the loads at every level.
+    """
+    left, right = BracketTree.left_comb(3), BracketTree.right_comb(3)
+    return [
+        (
+            *_cross_and_lower_counts(m),
+            bracketing.budget_load(m, left),
+            bracketing.budget_load(m, right),
+        )
+        for m in diagrams.enumerate_lcm(ws)
+    ]
+
+
+def _stratified_counts(scored, level):
     """Bucket budget-passing matches of the two three-factor combs by stratum.
 
-    Returns ({tree_name: {n: count}} for the no-cross strata,
+    ``scored`` is :func:`_scored_strata` of the tuple.  Returns
+    ({tree_name: {n: count}} for the no-cross strata,
     {tree_name: {c: count}} for the c >= 1 strata).
     """
-    trees = {"s1": BracketTree.left_comb(3), "s2": BracketTree.right_comb(3)}
-    by_n = {name: {} for name in trees}
-    by_c = {name: {} for name in trees}
-    for m in diagrams.enumerate_lcm(ws):
-        cross, lower = _cross_and_lower_counts(m)
-        for name, tree in trees.items():
-            if not bracketing.satisfies_truncation(m, level, tree):
+    by_n = {"s1": {}, "s2": {}}
+    by_c = {"s1": {}, "s2": {}}
+    for cross, lower, load_left, load_right in scored:
+        for name, load in (("s1", load_left), ("s2", load_right)):
+            if load > level:
                 continue
             if cross == 0:
                 by_n[name][lower] = by_n[name].get(lower, 0) + 1
@@ -414,8 +431,9 @@ def _stratified_counts(ws, level):
 def _bracketing_stratified_properties(bounds: Bounds) -> GroupCases:
     for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=3):
         w1, w2, w3 = ws
+        scored = _scored_strata(ws)
         for level in _levels(ws, bounds):
-            by_n, by_c = _stratified_counts(ws, level)
+            by_n, by_c = _stratified_counts(scored, level)
             for n in range(sum(ws) // 2 + 1):
                 got_a = by_n["s1"].get(n, 0)
                 got_b = by_n["s2"].get(n, 0)
@@ -533,22 +551,22 @@ def _geometry_nl_equiv_budget(bounds: Bounds) -> Cases:
 def _geometry_census_matches_fusion(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         for level in _levels(ws, bounds):
-            census = geometry.component_census(ws, level)
+            per_mu, total_dim = geometry._census_counts(ws, level)
             fused = ring.fuse_many(ws, level)
-            ok = census.total_dim == fused.total_dim() and census.per_mu == fused.coeffs
-            yield ok, lambda: f"ws={ws} l={level}: census {census.per_mu} vs {fused.coeffs}"
+            ok = total_dim == fused.total_dim() and per_mu == fused.coeffs
+            yield ok, lambda: f"ws={ws} l={level}: census {per_mu} vs {fused.coeffs}"
 
 
 @_property("geometry", "untruncated_dim_product")
 def _geometry_untruncated_dim_product(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
-        census = geometry.component_census(ws, None)
+        _, total_dim = geometry._census_counts(ws, None)
         expected = 1
         for w in ws:
             expected *= w + 1
         yield (
-            census.total_dim == expected,
-            lambda: f"ws={ws}: total dim {census.total_dim} != {expected}",
+            total_dim == expected,
+            lambda: f"ws={ws}: total dim {total_dim} != {expected}",
         )
 
 
@@ -571,13 +589,13 @@ def _geometry_pair_highest_weight_window(bounds: Bounds) -> Cases:
     for w1 in range(1, bounds.max_weight + 1):
         for w2 in range(1, bounds.max_weight + 1):
             for level in range(max(w1, w2), bounds.max_level + 1):
-                census = geometry.component_census((w1, w2), level)
+                per_mu, _ = geometry._census_counts((w1, w2), level)
                 for mu in range(w1 + w2 + 1):
                     inside = (
                         abs(w1 - w2) <= mu <= min(w1 + w2, 2 * level - w1 - w2)
                         and (mu + w1 + w2) % 2 == 0
                     )
-                    got = census.per_mu.get(mu, 0)
+                    got = per_mu.get(mu, 0)
                     yield (
                         got == (1 if inside else 0),
                         lambda: f"w1={w1} w2={w2} l={level} mu={mu}: count {got}",

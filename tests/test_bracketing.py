@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -506,11 +507,14 @@ def _oracle_passing(sizes, tree, level) -> list:
 
 
 def _load_search(sizes, budget) -> tuple:
-    """``kernels.enumerate_arc_sets(sizes, budget)`` as the search that rescans its arcs.
+    """``kernels.enumerate_arc_sets(sizes, budget)`` as a vertex walk that rescans its arcs.
 
-    At each vertex after a budgeted scope's last box it scores every closed
-    arc with ``kernels._load``, where the kernel reads counters kept as arcs
-    close; the walk and its pruning are otherwise the same.
+    It makes one call per vertex: leave it unmatched (only with no arc open),
+    close the innermost open arc (only onto another box) or open an arc, and
+    drops walks that end with an arc open.  At each vertex after a budgeted
+    scope's last box it scores every closed arc with ``kernels._load``.  The
+    kernel walks box by box instead, choosing how many vertices close, and
+    reads counters kept as arcs close; both prune the same prefixes.
     """
     key = tuple(sizes)
     box_of, prefix = kernels.layout(key)
@@ -594,6 +598,54 @@ def test_pruned_search_agrees_with_enumerate_then_filter_exhaustively():
             for tree in trees:
                 for level in range(1, max(budget_loads(sizes, tree)) + 2):
                     _assert_pruned_search_agrees_with_oracle(sizes, tree, level)
+
+
+def test_box_walk_equals_the_vertex_walk_and_the_mirrored_walk_exhaustively():
+    # Every tree given all its scopes, so every operation prunes, at every
+    # level up to the largest load, where all pass; zero-size boxes included.
+    cases = 0
+    for r in range(1, 6):
+        trees = enumerate_trees(r)
+        for sizes in itertools.product(range(0, 4), repeat=r):
+            if sum(sizes) > 6:
+                continue
+            for tree in trees:
+                for level in range(1, max(1, *budget_loads(sizes, tree)) + 1):
+                    budget = (level, tree.scopes)
+                    found = kernels.enumerate_arc_sets(sizes, budget)
+                    assert found == _load_search(sizes, budget), (sizes, tree, level)
+                    assert found == _mirrored_search(sizes, budget), (sizes, tree, level)
+                    cases += 1
+    assert cases == 27870
+
+
+def _recursive_calls(run, filename) -> dict:
+    """{function name: calls} of the functions in ``filename`` that ``run()`` calls more than once."""
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == filename:
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return {name: n for name, n in calls.items() if n > 1 and not name.startswith("<")}
+
+
+def test_box_walk_recurses_once_per_box_on_the_reference_query():
+    # A call per node of the walk's tree, counted by a profile hook: a walk
+    # that recursed per vertex again would make the vertex oracle's count.
+    sizes = (4,) * 8
+    budget = search_budget(sizes, 6, BracketTree.left_comb(8))
+    found = []
+    calls = _recursive_calls(lambda: found.extend(kernels._search(sizes, *budget)), kernels.__file__)
+    assert len(found) == 577
+    assert calls == {"walk": 985}
+    assert _recursive_calls(lambda: _load_search(sizes, budget), __file__) == {"search": 18433}
 
 
 def test_search_budget_keeps_only_operations_that_can_fail_early():
@@ -701,6 +753,32 @@ def test_right_comb_strata_are_left_comb_strata_on_reversed_factors():
             assert strata(ws, level, right) == strata(ws[::-1], level, left), (ws, level)
             cases += 1
     assert cases == 724
+
+
+def test_stratified_counts_from_loads_scored_once_equal_a_check_per_level():
+    trees = {"s1": BracketTree.left_comb(3), "s2": BracketTree.right_comb(3)}
+
+    def oracle(ws, level):
+        by_n = {name: Counter() for name in trees}
+        by_c = {name: Counter() for name in trees}
+        for m in enumerate_lcm(ws):
+            cross, lower = verify._cross_and_lower_counts(m)
+            for name, tree in trees.items():
+                if not satisfies_truncation(m, level, tree):
+                    continue
+                if cross:
+                    by_c[name][cross] += 1
+                else:
+                    by_n[name][lower] += 1
+        return by_n, by_c
+
+    cases = 0
+    for ws in itertools.product(range(0, 4), repeat=3):
+        scored = verify._scored_strata(ws)
+        for level in range(1, sum(ws) + 2):
+            assert verify._stratified_counts(scored, level) == oracle(ws, level), (ws, level)
+            cases += 1
+    assert cases == 352
 
 
 def test_ra_rb_agree_everywhere():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import verify
+from fusionkit import geometry, verify
 from fusionkit.bracketing import BracketTree, enumerate_trees, satisfies_truncation
 from fusionkit.diagrams import LowerMatch, enumerate_lcm
 from fusionkit.geometry import (
@@ -230,6 +230,30 @@ def test_truncated_matches_make_no_budget_check_when_no_scope_can_bind(monkeypat
                     assert truncated_matches(ws, level, tree) == enumerate_lcm(ws), (ws, level)
     assert calls == []
     assert len(truncated_matches((2, 2), 3)) == 2 and calls == [3, 3, 3]
+
+
+def test_census_counts_equal_the_census_without_writing_labels(monkeypatch):
+    cases = []
+    for r in range(1, 5):
+        for ws in itertools.product(range(0, 3), repeat=r):
+            trees = [None, *enumerate_trees(r)]
+            cases += [(ws, None, tree) for tree in trees]
+            cases += [(ws, level, tree) for tree in trees for level in range(max(1, *ws), 6)]
+    expected = {}
+    for ws, level, tree in cases:
+        census = component_census(ws, level, tree)
+        expected[ws, level, tree] = (census.per_mu, census.total_dim)
+    monkeypatch.setattr(geometry, "canonical_keys", None)
+    for ws, level, tree in cases:
+        got = geometry._census_counts(ws, level, tree)
+        assert got == expected[ws, level, tree], (ws, level, tree)
+        assert list(got[0]) == sorted(got[0])
+    # Bad inputs are refused as the census refuses them.
+    with pytest.raises(ValueError, match="level alcove"):
+        geometry._census_counts((3, 1), 2)
+    for level in (None, 2):
+        with pytest.raises(ValueError, match="bracketing covers"):
+            geometry._census_counts((1, 1), level, BracketTree.left_comb(5))
 
 
 def test_component_census_matches_fusion_dimension():

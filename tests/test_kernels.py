@@ -158,8 +158,10 @@ def test_layout_gives_the_box_of_each_vertex_and_prefix_sums():
         assert prefix == tuple(sum(sizes[:i]) for i in range(len(sizes) + 1)), sizes
 
 
-# The untruncated listing is built from memoized blocks; the search, given a
-# budget with no scope, lists every match and is the oracle for the blocks.
+# The untruncated listing is built from memoized blocks.  The search, given a
+# budget with no scope, lists every match as a ballot path of per-box closing
+# counts, which never reads the blocks, so it is an oracle for them that is
+# independent of them.
 LISTING_FULL_TUPLES = [
     (4, 4, 4, 4, 4, 4, 4, 4),
     (4, 4, 4, 4, 3, 3, 3, 3),
