@@ -380,6 +380,18 @@ def canonical_keys(matches) -> list[str]:
     return [heads[m.boxes.sizes] + ",".join(map(arc_text, m.arcs)) for m in matches]
 
 
+def arc_set_keys(sizes: tuple[int, ...], arc_sets) -> list[str]:
+    """:func:`canonical_keys` of the matches on ``sizes`` with these sorted arc sets.
+
+    No match is built: each key is the head of ``sizes`` and the arcs' texts,
+    spelled as :func:`canonical_keys` spells them.
+    """
+    form = _FORMS["text"]
+    head = form.head(sizes)
+    arc_text = _Memo(lambda arc: form.arc(*arc)).__getitem__
+    return [head + ",".join(map(arc_text, arcs)) for arcs in arc_sets]
+
+
 def listing(matches, fmt: str = "text", oriented: bool = False) -> str:
     """The ``fusionkit matches`` listing of ``matches`` in ``fmt``, ``"text"`` or ``"json"``.
 

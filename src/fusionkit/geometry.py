@@ -10,6 +10,7 @@ and its kernel takes up the rest.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from .bracketing import (
@@ -26,9 +27,10 @@ from .diagrams import (
     _as_weight,
     _weight_key,
     arc_census,
-    canonical_keys,
+    arc_set_keys,
     enumerate_lcm,
 )
+from .kernels import enumerate_arc_sets
 
 
 def _check_dims(*values) -> tuple[int, ...]:
@@ -177,39 +179,59 @@ def truncated_matches(boxes, level, tree: BracketTree | None = None) -> list[Low
     return matches
 
 
-def _census_matches(boxes, level: int | None, tree: BracketTree | None) -> list[LowerMatch]:
-    """The matches :func:`component_census` counts: untruncated when ``level`` is None."""
+def _census_arc_sets(boxes, level: int | None, tree: BracketTree | None):
+    """``(boxes, arc sets)`` of the matches :func:`component_census` counts, in canonical order.
+
+    Untruncated when ``level`` is None.  A budgeted search, and a level at
+    least the vertex count, give the kernel's arc tuples, and no match is
+    built; where only operations covering every vertex bind, the matches of
+    :func:`truncated_matches` are built and filtered, and their arcs taken.
+    """
     boxes = BoxConfig.coerce(boxes)
     if level is None:
         resolve_tree(tree, boxes.count)  # a tree that does not fit is refused either way
-        return enumerate_lcm(boxes)
-    return truncated_matches(boxes, level, tree)
+        return boxes, enumerate_arc_sets(boxes.sizes)
+    level = check_alcove(boxes.sizes, level)
+    tree = resolve_tree(tree, boxes.count)
+    budget = search_budget(boxes.sizes, level, tree)
+    if budget is None and level < boxes.total:
+        return boxes, [m.arcs for m in truncated_matches(boxes, level, tree)]
+    return boxes, enumerate_arc_sets(boxes.sizes, budget)
 
 
-def _counts(matches) -> tuple[dict[int, int], int]:
-    """``(per_mu, total_dim)`` of ``matches``, ``per_mu`` by ascending mu."""
-    per_mu: dict[int, int] = {}
-    for m in matches:
-        per_mu[m.mu] = per_mu.get(m.mu, 0) + 1
-    return dict(sorted(per_mu.items())), sum((mu + 1) * n for mu, n in per_mu.items())
+def _counts(total: int, arc_sets) -> tuple[dict[int, int], int]:
+    """``(per_mu, total_dim)`` of the matches on ``total`` vertices with these arc sets.
+
+    A match with n arcs has mu = total - 2n; ``per_mu`` runs by ascending mu.
+    """
+    by_arcs = Counter(map(len, arc_sets))
+    per_mu = {total - 2 * n: by_arcs[n] for n in sorted(by_arcs, reverse=True)}
+    return per_mu, sum((mu + 1) * k for mu, k in per_mu.items())
 
 
 def _census_counts(boxes, level: int | None = None, tree: BracketTree | None = None):
-    """``(per_mu, total_dim)`` of :func:`component_census`, without writing its labels."""
-    return _counts(_census_matches(boxes, level, tree))
+    """``(per_mu, total_dim)`` of :func:`component_census`, without writing its labels.
+
+    Counted from arc tuples, as the census is.
+    """
+    boxes, arc_sets = _census_arc_sets(boxes, level, tree)
+    return _counts(boxes.total, arc_sets)
 
 
 def component_census(boxes, level: int | None = None, tree: BracketTree | None = None) -> ComponentCensus:
     """Census of strata, truncated at ``level`` or untruncated when it is None.
 
     The truncation is :func:`truncated_matches`.  ``total_dim`` adds mu+1 per
-    stratum, which is the dimension of the module the census indexes.
+    stratum, which is the dimension of the module the census indexes.  A
+    searched or untruncated census is counted and labelled straight from the
+    kernel's arc tuples (``labels`` as :func:`diagrams.canonical_keys` writes
+    them), building no :class:`LowerMatch`; only the filtered one builds them.
     """
-    matches = _census_matches(boxes, level, tree)
-    per_mu, total_dim = _counts(matches)
+    boxes, arc_sets = _census_arc_sets(boxes, level, tree)
+    per_mu, total_dim = _counts(boxes.total, arc_sets)
     return ComponentCensus(
         per_mu=per_mu,
-        total_components=len(matches),
+        total_components=len(arc_sets),
         total_dim=total_dim,
-        labels=tuple(canonical_keys(matches)),
+        labels=tuple(arc_set_keys(boxes.sizes, arc_sets)),
     )

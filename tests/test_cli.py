@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -772,6 +773,117 @@ BLOCK_TEXT_DIGESTS = [
     (("matches", "-b", "0,3,1,0,2,2", "-m", "2", "--oriented", "-f", "json"), 0, "out",
      "35e4153be927e34f74f9aa159298486dbd7c65eb5e56fda5af23169f8816a395"),
 ]
+
+
+# sha256 of stdout and of stderr, and the exit code, recorded before each call
+# built only the parser of the subcommand it names, with COLUMNS=80 on Python
+# 3.11: the top-level texts (no command, help, an unknown command), every
+# subcommand's help, and a usage error per subcommand, two of them an
+# unrecognized argument, which argparse reports with the top-level usage.
+NOTHING = hashlib.sha256(b"").hexdigest()
+CLI_TEXT_DIGESTS = [
+    ((), 2,
+     NOTHING,
+     "0b9b3a2d0475e579474db4877a81cd67a83485ebc3c12854309e7f5a4bac9e50"),
+    (("--help",), 0,
+     "7e3d4cffc8ac124398870eff2fa9b29343ffc72594922a192224c322b94fc08e",
+     NOTHING),
+    (("nope",), 2,
+     NOTHING,
+     "3fd25cccf8ae481f55bbc84a8900fa91cc14b9b1d21b6f874bd395b4a26984b3"),
+    (("-h", "components"), 0,
+     "7e3d4cffc8ac124398870eff2fa9b29343ffc72594922a192224c322b94fc08e",
+     NOTHING),
+    (("fuse", "--help"), 0,
+     "72ed85512291b70267a9d5e323ebf599c671f2f0f478a332a07c1d70bb670574",
+     NOTHING),
+    (("tensor", "--help"), 0,
+     "eb040d5839137acab917728d52bcce9825b7cfc901feea25d08f735c69d6d43f",
+     NOTHING),
+    (("matches", "--help"), 0,
+     "44dff5d35c698ddb4b40b85eb7ba1581ca7d78bae44e2c5bc073a191be0d1d78",
+     NOTHING),
+    (("components", "--help"), 0,
+     "b3194edbedbdfd567f35f607a9117458297d44d025622500e04d6e10e3e4ab7b",
+     NOTHING),
+    (("verify", "--help"), 0,
+     "f8a8fd6a918c99db9c6b4f6542b7b0dd3d1fcf354bfbe03bfc7b294b7049430e",
+     NOTHING),
+    (("render", "--help"), 0,
+     "88afd2ff7d3066ea0fb1c2567f5be1a9e2c8738970546c43db41967c5bd9645d",
+     NOTHING),
+    (("fuse", "-w", "1,1"), 2,
+     NOTHING,
+     "456b49254be525aec8a4a3de97fea933de8d60695b9e7ee05f7bd9d021071cc6"),
+    (("tensor", "-w", "1,1", "-l", "2"), 2,
+     NOTHING,
+     "e9601f7202121fbd29d8f9facef64af0ca76ffd54658d5011e4bf36727b9d796"),
+    (("matches", "-b", "x"), 2,
+     NOTHING,
+     "6824e0bf32baaae05f513a2f0348e852d285444d9180f3c1ae99edee76384e91"),
+    (("components",), 2,
+     NOTHING,
+     "264453cf455dd72fe6d0c59b7e15f79ef384d1df9d57e6d10be3c78172382187"),
+    (("components", "-b", "2,2", "--bogus"), 2,
+     NOTHING,
+     "0a21fc451530a0f5a86b9f3835012fdde10f3d227088986b5883a4366ed6d3d5"),
+    (("verify", "--suite", "nope"), 2,
+     NOTHING,
+     "a371610dd7ff772afd41cca488aa38ed68dce2e769207f92e9099cc9bb4e5795"),
+    (("render",), 2,
+     NOTHING,
+     "8f3d624aeb58c3afe240146bcbd1d6e80ba732a8d959d7783327e1eedc4ec77a"),
+]
+
+
+def _texts(capsys, call, argv) -> tuple[int, str, str]:
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_help_usage_and_error_texts_match_parent_digests(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code, out_digest, err_digest in CLI_TEXT_DIGESTS:
+        got = _texts(capsys, main, argv)
+        digests = [hashlib.sha256(text.encode()).hexdigest() for text in got[1:]]
+        assert (got[0], *digests) == (code, out_digest, err_digest), argv
+        # The full parser, which main builds only when no command is named,
+        # writes the same texts.
+        assert _texts(capsys, build_parser().parse_args, argv) == got, argv
+
+
+def _subparser_choices(parser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_main_builds_only_the_named_subcommands_parser(capsys, monkeypatch):
+    commands = ["fuse", "tensor", "matches", "components", "verify", "render"]
+    assert _subparser_choices(build_parser()) == commands
+    assert _subparser_choices(build_parser("verify")) == ["verify"]
+    built = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    code, out, _ = run(capsys, "components", "-b", "2,2", "-l", "2", "-f", "json")
+    assert code == 0 and json.loads(out)["total_components"] == 1
+    assert built == ["components"]
+    for command in commands:
+        built.clear()
+        assert run(capsys, command, "--help")[0] == 0
+        assert built == [command]
+    for argv in ([], ["--help"], ["-h", "components"], ["nope"]):
+        built.clear()
+        run(capsys, *argv)
+        assert built == commands, argv
 
 
 def _assert_digests(capsys, cases):
