@@ -262,6 +262,10 @@ def _search(key: tuple[int, ...], level: int, scopes) -> list[tuple[tuple[int, i
                 inner[i] -= ends
 
     walk(1)
+    # ``walk`` refers to itself through its closure, so the cycle would keep
+    # ``out`` and every tuple the walk made alive until the next cyclic
+    # collection; unbinding it frees them once the caller drops ``out``.
+    del walk
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import time
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import diagrams, kernels, verify
+from fusionkit.bracketing import BracketTree, search_budget
 
 
 def brute_force_arc_sets(sizes) -> list[tuple[tuple[int, int], ...]]:
@@ -241,3 +243,22 @@ def test_arc_texts_cache_nothing_and_check_the_caps_first():
     with pytest.raises(ValueError, match="nonnegative"):
         kernels.arc_texts((2, -1), lambda p, q: f",{p}-{q}")
     assert time.perf_counter() - start < 1.0
+
+
+def test_listings_leave_no_reference_cycle_behind():
+    # A cycle would keep a search's paths alive until the next cyclic
+    # collection, after the caller has dropped them.
+    sizes = (3,) * 8
+    combs = (BracketTree.left_comb(8), BracketTree.right_comb(8))
+    budgets = [search_budget(sizes, 6, tree) for tree in combs]
+    gc.collect()
+    gc.disable()
+    try:
+        kernels._listing.cache_clear()
+        for budget in (*budgets, None):
+            assert kernels.enumerate_arc_sets(sizes, budget)
+        kernels._listing.cache_clear()
+        assert kernels.arc_texts(sizes, lambda p, q: f",{p}-{q}")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
