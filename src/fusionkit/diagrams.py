@@ -392,6 +392,19 @@ def arc_set_keys(sizes: tuple[int, ...], arc_sets) -> list[str]:
     return [head + ",".join(map(arc_text, arcs)) for arcs in arc_sets]
 
 
+def searched_keys(sizes: tuple[int, ...], budget) -> list[str]:
+    """:func:`arc_set_keys` of ``kernels.enumerate_arc_sets(sizes, budget)``, for a search budget.
+
+    Written from the search's arc texts (``kernels.arc_texts``): each key is
+    the head of ``sizes`` and the text of the match's arcs, so no arc tuple
+    is built and no arc text is joined per match.
+    """
+    form = _FORMS["text"]
+    head = form.head(sizes)
+    texts = kernels.arc_texts(sizes, lambda p, q: "," + form.arc(p, q), budget)
+    return [head + t[1:] for t in texts]
+
+
 def listing(matches, fmt: str = "text", oriented: bool = False) -> str:
     """The ``fusionkit matches`` listing of ``matches`` in ``fmt``, ``"text"`` or ``"json"``.
 

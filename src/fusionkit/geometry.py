@@ -29,6 +29,7 @@ from .diagrams import (
     arc_census,
     arc_set_keys,
     enumerate_lcm,
+    searched_keys,
 )
 from .kernels import enumerate_arc_sets
 
@@ -180,31 +181,35 @@ def truncated_matches(boxes, level, tree: BracketTree | None = None) -> list[Low
 
 
 def _census_arc_sets(boxes, level: int | None, tree: BracketTree | None):
-    """``(boxes, arc sets)`` of the matches :func:`component_census` counts, in canonical order.
+    """``(boxes, budget, arc sets)`` of the matches :func:`component_census` counts.
 
-    Untruncated when ``level`` is None.  A budgeted search, and a level at
-    least the vertex count, give the kernel's arc tuples, and no match is
-    built; where only operations covering every vertex bind, the matches of
-    :func:`truncated_matches` are built and filtered, and their arcs taken.
+    Untruncated when ``level`` is None.  Where :func:`search_budget` gives a
+    budget, it comes with no arc sets: the caller searches with it, for arc
+    tuples or for keys.  Otherwise the arc sets are in canonical order: the
+    kernel's arc tuples untruncated or at a level at least the vertex count,
+    where no match is built, and where only operations covering every vertex
+    bind, the arcs of the matches :func:`truncated_matches` builds and filters.
     """
     boxes = BoxConfig.coerce(boxes)
     if level is None:
         resolve_tree(tree, boxes.count)  # a tree that does not fit is refused either way
-        return boxes, enumerate_arc_sets(boxes.sizes)
+        return boxes, None, enumerate_arc_sets(boxes.sizes)
     level = check_alcove(boxes.sizes, level)
     tree = resolve_tree(tree, boxes.count)
     budget = search_budget(boxes.sizes, level, tree)
-    if budget is None and level < boxes.total:
-        return boxes, [m.arcs for m in truncated_matches(boxes, level, tree)]
-    return boxes, enumerate_arc_sets(boxes.sizes, budget)
+    if budget is not None:
+        return boxes, budget, None
+    if level < boxes.total:
+        return boxes, None, [m.arcs for m in truncated_matches(boxes, level, tree)]
+    return boxes, None, enumerate_arc_sets(boxes.sizes)
 
 
-def _counts(total: int, arc_sets) -> tuple[dict[int, int], int]:
-    """``(per_mu, total_dim)`` of the matches on ``total`` vertices with these arc sets.
+def _counts(total: int, arc_counts) -> tuple[dict[int, int], int]:
+    """``(per_mu, total_dim)`` of the matches on ``total`` vertices with these arc counts.
 
     A match with n arcs has mu = total - 2n; ``per_mu`` runs by ascending mu.
     """
-    by_arcs = Counter(map(len, arc_sets))
+    by_arcs = Counter(arc_counts)
     per_mu = {total - 2 * n: by_arcs[n] for n in sorted(by_arcs, reverse=True)}
     return per_mu, sum((mu + 1) * k for mu, k in per_mu.items())
 
@@ -212,26 +217,37 @@ def _counts(total: int, arc_sets) -> tuple[dict[int, int], int]:
 def _census_counts(boxes, level: int | None = None, tree: BracketTree | None = None):
     """``(per_mu, total_dim)`` of :func:`component_census`, without writing its labels.
 
-    Counted from arc tuples, as the census is.
+    Counted from arc tuples, so no match is built where the census builds none.
     """
-    boxes, arc_sets = _census_arc_sets(boxes, level, tree)
-    return _counts(boxes.total, arc_sets)
+    boxes, budget, arc_sets = _census_arc_sets(boxes, level, tree)
+    if arc_sets is None:
+        arc_sets = enumerate_arc_sets(boxes.sizes, budget)
+    return _counts(boxes.total, map(len, arc_sets))
 
 
 def component_census(boxes, level: int | None = None, tree: BracketTree | None = None) -> ComponentCensus:
     """Census of strata, truncated at ``level`` or untruncated when it is None.
 
     The truncation is :func:`truncated_matches`.  ``total_dim`` adds mu+1 per
-    stratum, which is the dimension of the module the census indexes.  A
-    searched or untruncated census is counted and labelled straight from the
-    kernel's arc tuples (``labels`` as :func:`diagrams.canonical_keys` writes
-    them), building no :class:`LowerMatch`; only the filtered one builds them.
+    stratum, which is the dimension of the module the census indexes.
+    ``labels`` are as :func:`diagrams.canonical_keys` writes them.  A searched
+    census writes them from the search's arc texts
+    (:func:`diagrams.searched_keys`) and counts each key's arcs; an
+    untruncated one counts and labels the kernel's arc tuples.  Neither builds
+    a :class:`LowerMatch`; only the filtered census builds them.
     """
-    boxes, arc_sets = _census_arc_sets(boxes, level, tree)
-    per_mu, total_dim = _counts(boxes.total, arc_sets)
+    boxes, budget, arc_sets = _census_arc_sets(boxes, level, tree)
+    if arc_sets is None:
+        labels = searched_keys(boxes.sizes, budget)
+        # A key spells each arc as p-q, and its head holds no "-".
+        arc_counts = [label.count("-") for label in labels]
+    else:
+        labels = arc_set_keys(boxes.sizes, arc_sets)
+        arc_counts = map(len, arc_sets)
+    per_mu, total_dim = _counts(boxes.total, arc_counts)
     return ComponentCensus(
         per_mu=per_mu,
-        total_components=len(arc_sets),
+        total_components=len(labels),
         total_dim=total_dim,
-        labels=tuple(arc_set_keys(boxes.sizes, arc_sets)),
+        labels=tuple(labels),
     )

@@ -33,15 +33,25 @@ every given scope.  A scope that ends at the last vertex is counted only when
 a walk ends, so the search walks from the end that leaves fewer such scopes,
 ties left to right.  From the right it walks the reversed sizes with mirrored
 scopes, ``(slo, ahi, blo, shi) -> (r+1-shi, r+1-blo, r+1-ahi, r+1-slo)`` on r
-boxes, and maps each arc back, ``(p, q) -> (w+1-q, w+1-p)`` on w vertices; so
-a right comb prunes as the left comb does.  Suffix blocks could only check
-scopes inside a closed suffix, and those of the default left comb all start at
-box 1, so a budget keeps the search.  Given no scope, the search lists every
-match by its paths, independently of the blocks: it is their test oracle.
+boxes, and maps each arc back as it closes, ``(p, q) -> (w+1-q, w+1-p)`` on w
+vertices; so a right comb prunes as the left comb does.  Suffix blocks could
+only check scopes inside a closed suffix, and those of the default left comb
+all start at box 1, so a budget keeps the search.  Given no scope, the search
+lists every match by its paths, independently of the blocks: it is their test
+oracle.
+
+The paths come in no canonical order, so the search keys each match by the
+bytes ``partner[1..w]``, the right end of the arc that starts at each vertex
+or 0xFF, with the trailing 0xFF bytes stripped: byte order on these keys is
+canonical order, and one sort of the keys orders the result.  A match itself
+is joined from per-arc pieces indexed by left end, each made once per arc and
+query: arc tuples for :func:`enumerate_arc_sets`, or arc texts for
+:func:`arc_texts` with a budget, from which ``diagrams`` writes a searched
+census's labels.
 
 Only the untruncated listing of arc tuples is cached, per box tuple; no
 budgeted query repeats, so a search is not, and neither are arc texts, which
-serve one listing each.
+serve one listing or census each.
 Two caps refuse work before either algorithm starts: ``MAX_VERTICES`` bounds
 the vertex line (the search's recursion is as deep as the box count), and
 ``MAX_MATCHES`` bounds the size of the result, counted beforehand by a
@@ -57,6 +67,7 @@ import math
 import operator
 from functools import lru_cache
 
+# Below 0xFF, which the search's sort keys reserve for "no arc starts here".
 MAX_VERTICES = 64
 # The largest listing the benchmark makes has 38,165 matches; (4,)*10 has
 # 856,945, and ``fusionkit matches`` writes them in about 1.4 s; (4,)*16 has
@@ -148,16 +159,20 @@ def _listing(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(_blocks(prefix[-1], box_of, lambda a, b: ((a, b),)))
 
 
-def arc_texts(sizes, arc_text) -> list[str]:
+def arc_texts(sizes, arc_text, budget=None) -> list[str]:
     """The text of every match on ``sizes``, in canonical order, uncached.
 
     ``arc_text(p, q)`` is the text of the arc (p, q), separator first, such
     as ``f",{p}-{q}"``; a match's text is its arcs' texts in order, so it is
     ``""`` for the empty match and starts with the separator otherwise.  The
-    caps are checked first, as for :func:`enumerate_arc_sets`.
+    caps are checked first, and ``budget`` keeps the matches that fit it, as
+    for :func:`enumerate_arc_sets`.
     """
-    box_of, prefix = _layout(_checked(sizes))
-    return _blocks(prefix[-1], box_of, arc_text)
+    key = _checked(sizes)
+    if budget is None:
+        box_of, prefix = _layout(key)
+        return _blocks(prefix[-1], box_of, arc_text)
+    return _search(key, budget, arc_text, "".join)
 
 
 def enumerate_arc_sets(
@@ -178,41 +193,51 @@ def enumerate_arc_sets(
     if budget is None:
         # Indexed before the lookup: (2.0, 1) is a key equal to (2, 1).
         return _listing(tuple(map(operator.index, sizes)))
-    key = _checked(sizes)
-    level, scopes = budget
-    _, prefix = _layout(key)
-    w = prefix[-1]
-    # A walk checks a scope on passing its last vertex, so one that ends at
-    # the walk's last vertex prunes nothing: walk from the end with fewer.
-    if sum(prefix[slo - 1] == 0 for slo, _, _, _ in scopes) < sum(
-        prefix[shi] == w for _, _, _, shi in scopes
-    ):
-        r = len(key)
-        mirrored = [
-            (r + 1 - shi, r + 1 - blo, r + 1 - ahi, r + 1 - slo) for slo, ahi, blo, shi in scopes
-        ]
-        # Arcs close by ascending end, so mapped back they run by descending
-        # start: reversed, each arc set is sorted.
-        found = [
-            tuple((w + 1 - q, w + 1 - p) for p, q in reversed(arcs))
-            for arcs in _search(key[::-1], level, mirrored)
-        ]
-    else:
-        found = [tuple(sorted(arcs)) for arcs in _search(key, level, scopes)]
-    found.sort()
+    # A piece is the arc itself, one ``(p, q)`` object per arc that every
+    # match holding it shares; no arc starts where the piece is ``()``.
+    found = _search(
+        _checked(sizes), budget, lambda p, q: (p, q), lambda pieces: tuple(filter(None, pieces))
+    )
     return tuple(found)
 
 
-def _search(key: tuple[int, ...], level: int, scopes) -> list[tuple[tuple[int, int], ...]]:
-    """The arc sets on ``key`` that fit ``level`` at every scope, each in closing order.
+def _search(key: tuple[int, ...], budget, unit, join) -> list:
+    """The matches on ``key`` that fit ``budget``, in canonical order, each ``join(pieces)``.
 
-    The walk goes box by box, left to right, and every path it completes is
-    one match: at box a it closes c = 0..min(w_a, open) vertices and opens the
-    rest, so the recursion is as deep as the box count.  ``key`` is a checked
-    size tuple and ``scopes`` is as for :func:`enumerate_arc_sets`.
+    The walk goes box by box, and every path it completes is one match: at box
+    a it closes c = 0..min(w_a, open) vertices and opens the rest, so the
+    recursion is as deep as the box count.  ``key`` is a checked size tuple
+    and ``budget`` is as for :func:`enumerate_arc_sets`.  The walk runs from
+    the end that leaves fewer scopes ending at its last vertex; from the
+    right, it maps each arc it closes, (p, q) -> (w+1-q, w+1-p), as it closes.
+
+    While a walk holds the arc (p, q) of the original numbering, ``pieces[p]``
+    is ``unit(p, q)``, made once per arc and query, and ``partner[p]`` is q;
+    where no arc starts they hold ``unit(0, 0)[:0]`` and 0xFF.  So
+    ``join(pieces)`` reads a match's arcs by left end, which is canonical, and
+    the match is keyed by ``partner`` less its trailing 0xFF bytes.  Byte
+    order on these keys is canonical order: at the first vertex where two keys
+    differ, either one match starts an arc there and the other none, and the
+    arc's end is below 0xFF, or both start one and their ends decide; and a
+    match whose arcs begin another's has a key that begins the other's.  So
+    one sort of the keys puts the matches in order, with no sort per match;
+    this needs every vertex below 0xFF (``MAX_VERTICES``).
     """
+    level, scopes = budget
     box_of, prefix = _layout(key)
+    w = prefix[-1]
     r = len(key)
+    # A walk checks a scope on passing its last vertex, so one that ends at
+    # the walk's last vertex prunes nothing: walk from the end with fewer.
+    mirrored = sum(prefix[slo - 1] == 0 for slo, _, _, _ in scopes) < sum(
+        prefix[shi] == w for _, _, _, shi in scopes
+    )
+    if mirrored:
+        key = key[::-1]
+        scopes = [
+            (r + 1 - shi, r + 1 - blo, r + 1 - ahi, r + 1 - slo) for slo, ahi, blo, shi in scopes
+        ]
+        box_of, prefix = _layout(key)
     # The scopes to count after each box, those ending there, as (scope index, |S|).
     due: list[list[tuple[int, int]]] = [[] for _ in range(r + 1)]
     for i, (slo, _, _, shi) in enumerate(scopes):
@@ -228,13 +253,21 @@ def _search(key: tuple[int, ...], level: int, scopes) -> list[tuple[tuple[int, i
         )
     inner = [0] * len(scopes)
 
-    out: list[tuple[tuple[int, int], ...]] = []
+    # arcs[q][p] is (left end, right end, unit) of the arc the walk closes from
+    # p to q, in the original numbering: made on its first close.
+    arcs: list[list] = [[None] * q for q in range(w + 1)]
+    nothing = unit(0, 0)[:0]
+    pieces = [nothing] * (w + 1)
+    partner = bytearray(b"\xff") * (w + 1)
+    found: list = []
+    keys: list = []
     stack: list[int] = []  # the open vertices, most recent last
-    arcs: list[tuple[int, int]] = []
+    closed: list[int] = []  # the vertices closed onto, in closing order
 
     def walk(a: int) -> None:
         if a > r:
-            out.append(tuple(arcs))
+            keys.append(partner.rstrip(b"\xff"))
+            found.append(join(pieces))
             return
         into, due_here = bumps[a], due[a]
         start = q = prefix[a - 1]
@@ -252,21 +285,31 @@ def _search(key: tuple[int, ...], level: int, scopes) -> list[tuple[tuple[int, i
                 break
             q += 1
             p = stack.pop()
-            arcs.append((p, q))
+            closed.append(p)
+            arc = arcs[q][p]
+            if arc is None:
+                lo, hi = (w + 1 - q, w + 1 - p) if mirrored else (p, q)
+                arc = arcs[q][p] = (lo, hi, unit(lo, hi))
+            lo, hi, piece = arc
+            partner[lo] = hi
+            pieces[lo] = piece
             for i, ends in into[box_of[p]]:
                 inner[i] += ends
-        for _ in range(q - start):
-            p = arcs.pop()[0]
+        for q in range(q, start, -1):
+            p = closed.pop()
             stack.append(p)
+            lo = arcs[q][p][0]
+            partner[lo] = 0xFF
+            pieces[lo] = nothing
             for i, ends in into[box_of[p]]:
                 inner[i] -= ends
 
     walk(1)
     # ``walk`` refers to itself through its closure, so the cycle would keep
-    # ``out`` and every tuple the walk made alive until the next cyclic
-    # collection; unbinding it frees them once the caller drops ``out``.
+    # ``found`` and every piece the walk made alive until the next cyclic
+    # collection; unbinding it frees them once the caller drops the result.
     del walk
-    return out
+    return [found[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def _blocks(w: int, box_of: tuple[int, ...], unit) -> list:

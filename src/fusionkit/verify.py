@@ -220,7 +220,11 @@ def _ring_generator_assoc_comm(bounds: Bounds) -> Cases:
 
 
 def _all_partial_matchings(n: int):
-    """Every partial matching of 1..n, as a sorted tuple of pairs."""
+    """Every partial matching of 1..n, as a sorted tuple of pairs.
+
+    Each is sorted as it is built: ``first`` is the smallest vertex left, so
+    its pair precedes every pair of the tail, which is sorted by induction.
+    """
 
     def go(vertices: tuple[int, ...]):
         if not vertices:
@@ -232,7 +236,7 @@ def _all_partial_matchings(n: int):
             other = rest[idx]
             remaining = rest[:idx] + rest[idx + 1 :]
             for tail in go(remaining):
-                yield tuple(sorted(((first, other),) + tail))
+                yield ((first, other),) + tail
 
     yield from go(tuple(range(1, n + 1)))
 

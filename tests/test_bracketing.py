@@ -619,6 +619,35 @@ def test_box_walk_equals_the_vertex_walk_and_the_mirrored_walk_exhaustively():
     assert cases == 27870
 
 
+def test_arc_texts_and_arc_tuples_equal_the_vertex_walk_on_every_searched_query():
+    # Every query the census searches on these trees, from the end the kernel
+    # picks: the texts spell the arc tuples, which the vertex walk finds.
+    cases = from_right = 0
+    for r in range(1, 6):
+        trees = enumerate_trees(r)
+        for sizes in itertools.product(range(0, 4), repeat=r):
+            total = sum(sizes)
+            if total > 12:
+                continue
+            _, prefix = kernels.layout(sizes)
+            for tree in trees:
+                for level in range(max(1, *sizes), total + 1):
+                    budget = search_budget(sizes, level, tree)
+                    if budget is None:
+                        continue
+                    found = kernels.enumerate_arc_sets(sizes, budget)
+                    texts = kernels.arc_texts(sizes, lambda p, q: f",{p}-{q}", budget)
+                    assert texts == ["".join(f",{p}-{q}" for p, q in arcs) for arcs in found]
+                    assert found == _load_search(sizes, budget), (sizes, tree, level)
+                    scopes = budget[1]
+                    from_right += sum(prefix[s[0] - 1] == 0 for s in scopes) < sum(
+                        prefix[s[3]] == total for s in scopes
+                    )
+                    cases += 1
+    # 19,353 walked from the left and 18,101 from the right.
+    assert (cases, from_right) == (37_454, 18_101)
+
+
 def _recursive_calls(run, filename) -> dict:
     """{function name: calls} of the functions in ``filename`` that ``run()`` calls more than once."""
     calls = Counter()
@@ -642,8 +671,18 @@ def test_box_walk_recurses_once_per_box_on_the_reference_query():
     sizes = (4,) * 8
     budget = search_budget(sizes, 6, BracketTree.left_comb(8))
     found = []
-    calls = _recursive_calls(lambda: found.extend(kernels._search(sizes, *budget)), kernels.__file__)
+    calls = _recursive_calls(
+        lambda: found.extend(kernels.enumerate_arc_sets(sizes, budget)), kernels.__file__
+    )
     assert len(found) == 577
+    assert calls == {"walk": 985}
+    # The census walks the same tree for arc texts.
+    texts = []
+    calls = _recursive_calls(
+        lambda: texts.extend(kernels.arc_texts(sizes, lambda p, q: f",{p}-{q}", budget)),
+        kernels.__file__,
+    )
+    assert len(texts) == 577
     assert calls == {"walk": 985}
     assert _recursive_calls(lambda: _load_search(sizes, budget), __file__) == {"search": 18433}
 

@@ -251,6 +251,7 @@ def test_census_counts_equal_the_census_without_writing_labels(monkeypatch):
         census = component_census(ws, level, tree)
         expected[ws, level, tree] = (census.per_mu, census.total_dim)
     monkeypatch.setattr(geometry, "arc_set_keys", None)
+    monkeypatch.setattr(geometry, "searched_keys", None)
     for ws, level, tree in cases:
         got = geometry._census_counts(ws, level, tree)
         assert got == expected[ws, level, tree], (ws, level, tree)

@@ -49,6 +49,7 @@ def test_partial_matchings_are_listed_once_each():
     for n, count in enumerate(counts):
         listed = list(verify._all_partial_matchings(n))
         assert len(listed) == len(set(listed)) == count, n
+        assert all(list(arcs) == sorted(arcs) for arcs in listed), n
         unit = diagrams.BoxConfig((1,) * n or (0,))
         assert verify._unit_box_matchings(n) == tuple(
             sorted(arcs for arcs in set(listed) if diagrams.validate(unit, arcs))
@@ -245,9 +246,39 @@ def test_arc_texts_cache_nothing_and_check_the_caps_first():
     assert time.perf_counter() - start < 1.0
 
 
+def _partner_key(w: int, arcs) -> bytes:
+    """The search's sort key: the right end of the arc at each left end, else 0xFF, stripped."""
+    partner = bytearray(b"\xff") * (w + 1)
+    for p, q in arcs:
+        partner[p] = q
+    return bytes(partner).rstrip(b"\xff")
+
+
+def test_partner_keys_sort_every_small_listing_into_canonical_order():
+    tuples = [
+        sizes
+        for r in range(1, 7)
+        for sizes in itertools.product(range(0, 5), repeat=r)
+        if sum(sizes) <= 10
+    ]
+    for sizes in tuples:
+        listing = kernels._listing(sizes)
+        keys = [_partner_key(sum(sizes), arcs) for arcs in listing]
+        # Strictly increasing, so the keys are distinct and any order sorts back.
+        assert all(a < b for a, b in zip(keys, keys[1:])), sizes
+        assert sorted(reversed(listing), key=lambda arcs: _partner_key(sum(sizes), arcs)) == list(
+            listing
+        ), sizes
+
+
+def test_vertices_stay_below_the_sort_keys_no_arc_byte():
+    assert kernels.MAX_VERTICES < 0xFF
+
+
 def test_listings_leave_no_reference_cycle_behind():
     # A cycle would keep a search's paths alive until the next cyclic
-    # collection, after the caller has dropped them.
+    # collection, after the caller has dropped them.  The left comb's search
+    # walks from the left and the right comb's from the right.
     sizes = (3,) * 8
     combs = (BracketTree.left_comb(8), BracketTree.right_comb(8))
     budgets = [search_budget(sizes, 6, tree) for tree in combs]
@@ -258,7 +289,8 @@ def test_listings_leave_no_reference_cycle_behind():
         for budget in (*budgets, None):
             assert kernels.enumerate_arc_sets(sizes, budget)
         kernels._listing.cache_clear()
-        assert kernels.arc_texts(sizes, lambda p, q: f",{p}-{q}")
+        for budget in (*budgets, None):
+            assert kernels.arc_texts(sizes, lambda p, q: f",{p}-{q}", budget)
         assert gc.collect() == 0
     finally:
         gc.enable()
