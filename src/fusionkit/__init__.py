@@ -40,7 +40,6 @@ from .geometry import (
     component_census,
     dim_m,
     dim_z,
-    hw_from_rank,
     kernel_profile,
     nl_condition,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "enumerate_trees",
     "fuse_many",
     "fuse_pair",
-    "hw_from_rank",
     "isotypic_census",
     "kernel_profile",
     "listing",

@@ -4,7 +4,9 @@ Only dimension formulas and kernel/rank bookkeeping are modelled: a stratum
 of the tensor-product variety is identified with its lower-match label, and
 the nilpotent endomorphism it parametrizes is read off combinatorially --
 restricted to the first i boxes, its rank is the number of arcs closed there
-and its kernel takes up the rest.
+and its kernel takes up the rest.  :func:`component_census` is the one census
+of strata: ``fusionkit components`` prints it and the census properties of
+``verify`` read its counts.
 """
 
 from __future__ import annotations
@@ -58,14 +60,6 @@ def dim_z(v1, v2, w) -> int:
     if v1 > w or v2 > w:
         raise ValueError(f"need v1, v2 <= w, got v1={v1}, v2={v2}, w={w}")
     return v1 * (w - v1) + v2 * (w - v2)
-
-
-def hw_from_rank(w, u) -> int:
-    """Highest weight w - 2u carried by the fiber over a rank-u endomorphism."""
-    w, u = _check_dims(w, u)
-    if 2 * u > w:
-        raise ValueError(f"rank {u} too large: 2*{u} > {w} leaves no module")
-    return w - 2 * u
 
 
 @dataclass(frozen=True)
@@ -180,74 +174,42 @@ def truncated_matches(boxes, level, tree: BracketTree | None = None) -> list[Low
     return matches
 
 
-def _census_arc_sets(boxes, level: int | None, tree: BracketTree | None):
-    """``(boxes, budget, arc sets)`` of the matches :func:`component_census` counts.
-
-    Untruncated when ``level`` is None.  Where :func:`search_budget` gives a
-    budget, it comes with no arc sets: the caller searches with it, for arc
-    tuples or for keys.  Otherwise the arc sets are in canonical order: the
-    kernel's arc tuples untruncated or at a level at least the vertex count,
-    where no match is built, and where only operations covering every vertex
-    bind, the arcs of the matches :func:`truncated_matches` builds and filters.
-    """
-    boxes = BoxConfig.coerce(boxes)
-    if level is None:
-        resolve_tree(tree, boxes.count)  # a tree that does not fit is refused either way
-        return boxes, None, enumerate_arc_sets(boxes.sizes)
-    level = check_alcove(boxes.sizes, level)
-    tree = resolve_tree(tree, boxes.count)
-    budget = search_budget(boxes.sizes, level, tree)
-    if budget is not None:
-        return boxes, budget, None
-    if level < boxes.total:
-        return boxes, None, [m.arcs for m in truncated_matches(boxes, level, tree)]
-    return boxes, None, enumerate_arc_sets(boxes.sizes)
-
-
-def _counts(total: int, arc_counts) -> tuple[dict[int, int], int]:
-    """``(per_mu, total_dim)`` of the matches on ``total`` vertices with these arc counts.
-
-    A match with n arcs has mu = total - 2n; ``per_mu`` runs by ascending mu.
-    """
-    by_arcs = Counter(arc_counts)
-    per_mu = {total - 2 * n: by_arcs[n] for n in sorted(by_arcs, reverse=True)}
-    return per_mu, sum((mu + 1) * k for mu, k in per_mu.items())
-
-
-def _census_counts(boxes, level: int | None = None, tree: BracketTree | None = None):
-    """``(per_mu, total_dim)`` of :func:`component_census`, without writing its labels.
-
-    Counted from arc tuples, so no match is built where the census builds none.
-    """
-    boxes, budget, arc_sets = _census_arc_sets(boxes, level, tree)
-    if arc_sets is None:
-        arc_sets = enumerate_arc_sets(boxes.sizes, budget)
-    return _counts(boxes.total, map(len, arc_sets))
-
-
 def component_census(boxes, level: int | None = None, tree: BracketTree | None = None) -> ComponentCensus:
     """Census of strata, truncated at ``level`` or untruncated when it is None.
 
     The truncation is :func:`truncated_matches`.  ``total_dim`` adds mu+1 per
     stratum, which is the dimension of the module the census indexes.
-    ``labels`` are as :func:`diagrams.canonical_keys` writes them.  A searched
-    census writes them from the search's arc texts
-    (:func:`diagrams.searched_keys`) and counts each key's arcs; an
-    untruncated one counts and labels the kernel's arc tuples.  Neither builds
-    a :class:`LowerMatch`; only the filtered census builds them.
+    ``labels`` are as :func:`diagrams.canonical_keys` writes them, and a match
+    with n arcs on ``total`` vertices has mu = total - 2n.  A searched census
+    writes its labels from the search's arc texts
+    (:func:`diagrams.searched_keys`) and counts each label's arcs.  An
+    untruncated census, or one at a level at least the vertex count, where no
+    scope can bind, counts and labels the kernel's cached arc tuples.  Neither
+    builds a :class:`LowerMatch`; only the filtered census, where only
+    operations covering every vertex bind, takes its arcs from the matches
+    :func:`truncated_matches` builds and scores.
     """
-    boxes, budget, arc_sets = _census_arc_sets(boxes, level, tree)
-    if arc_sets is None:
+    boxes = BoxConfig.coerce(boxes)
+    if level is not None:
+        level = check_alcove(boxes.sizes, level)
+    tree = resolve_tree(tree, boxes.count)  # a tree that does not fit is refused either way
+    budget = None if level is None else search_budget(boxes.sizes, level, tree)
+    if budget is not None:
         labels = searched_keys(boxes.sizes, budget)
         # A key spells each arc as p-q, and its head holds no "-".
         arc_counts = [label.count("-") for label in labels]
     else:
+        if level is None or level >= boxes.total:
+            arc_sets = enumerate_arc_sets(boxes.sizes)
+        else:
+            arc_sets = [m.arcs for m in truncated_matches(boxes, level, tree)]
         labels = arc_set_keys(boxes.sizes, arc_sets)
         arc_counts = map(len, arc_sets)
-    per_mu, total_dim = _counts(boxes.total, arc_counts)
+    by_arcs = Counter(arc_counts)
+    per_mu = {boxes.total - 2 * n: by_arcs[n] for n in sorted(by_arcs, reverse=True)}
     return ComponentCensus(
         per_mu=per_mu,
         total_components=len(labels),
-        total_dim=total_dim,
+        total_dim=sum((mu + 1) * k for mu, k in per_mu.items()),
         labels=tuple(labels),
     )

@@ -1,25 +1,28 @@
 """Batch verification sweeps behind the ``verify`` CLI subcommand.
 
 Every property is an exhaustive exact check over a bounded sweep; bounds come
-from the CLI flags.  Each is declared once, as a generator of ``(ok, detail)``
-cases under ``@_property(suite, name)``, which registers it in ``SUITES``.  A
-property returns its case count and the first few counterexamples verbatim, so
-a failing sweep points straight at the offending configuration.  Properties
-run in declaration order on one thread, so the report is in a fixed order.
+from the CLI flags.  Each is declared once, as a generator of cases under
+``@_property(suite, name)``, which registers it in ``SUITES``.  A case is its
+counterexample text, or None when it passes, and the text is formatted only
+for a failing case.  A property returns its case count and the first few
+counterexamples verbatim, so a failing sweep points straight at the offending
+configuration.  Properties run in declaration order on one thread, so the
+report is in a fixed order.
 
 Properties that walk the same sweep points are declared together, as one
-generator of ``(index, ok, detail)`` cases under
-``@_properties(suite, *names)``, so each point's data is built once: the
-module suite builds one basis and folds one ``fuse_many`` per (ws, l), the
-matches suite enumerates the matches and folds one ``tensor_many`` per ws, and
-the three closed-form properties score each match's loads once per ws
-(``_scored_strata``), bucket one ``_stratified_counts`` per (ws, l) and
-evaluate each form once per stratum (``rb_count`` is ``ra_count`` on the
-reversed factors, so ``ra_equals_rb`` checks the reversal symmetry of
-``ra_count``).  ``SUITES`` still holds one callable per property.  Within one
+generator of ``(index, failure)`` cases under ``@_properties(suite, *names)``,
+so each point's data is built once: the module suite builds one basis and
+folds one ``fuse_many`` per (ws, l), the matches suite enumerates the matches
+and folds one ``tensor_many`` per ws, and the three closed-form properties
+score each match's loads once per ws (``_scored_strata``), bucket one
+``_stratified_counts`` per (ws, l) and evaluate each form once per stratum
+(``rb_count`` is ``ra_count`` on the reversed factors, so ``ra_equals_rb``
+checks the reversal symmetry of ``ra_count``).  ``SUITES`` still holds one callable per property.  Within one
 :func:`run_suites` call the first callable of a group runs the sweep and the
 others take the results it held for them; called on its own, a callable runs
-its group's sweep afresh.  Nothing outlives its sweep point or its run.
+its group's sweep afresh.  Nothing outlives its sweep point or its run.  The
+census properties read :func:`geometry.component_census`, the census that
+``fusionkit components`` prints.
 """
 
 from __future__ import annotations
@@ -62,21 +65,20 @@ class PropertyResult:
     def passed(self) -> bool:
         return self.failure_count == 0
 
-    def check(self, ok: bool, detail: Callable[[], str]) -> None:
-        """Count one case; on failure record the counterexample text ``detail()``.
+    def check(self, failure: str | None) -> None:
+        """Count one case, failed when ``failure`` is its counterexample text.
 
-        ``detail`` is called only for a recorded failure, so passing cases
-        format nothing.
+        The first ``MAX_COUNTEREXAMPLES`` texts are kept.
         """
         self.cases += 1
-        if not ok:
+        if failure is not None:
             self.failure_count += 1
             if len(self.failures) < MAX_COUNTEREXAMPLES:
-                self.failures.append(detail())
+                self.failures.append(failure)
 
 
-Cases = Iterator[tuple[bool, Callable[[], str]]]
-GroupCases = Iterator[tuple[int, bool, Callable[[], str]]]
+Cases = Iterator[str | None]
+GroupCases = Iterator[tuple[int, str | None]]
 Property = Callable[..., PropertyResult]
 
 # suite -> its properties, in declaration order; filled by ``_properties``.
@@ -84,12 +86,11 @@ SUITES: dict[str, tuple[Property, ...]] = {}
 
 
 def _properties(suite: str, *names: str):
-    """Register a sweep of ``(index, ok, detail)`` cases as properties ``names`` of ``suite``.
+    """Register a sweep of ``(index, failure)`` cases as properties ``names`` of ``suite``.
 
     The sweep runs once and counts each case, through
-    :meth:`PropertyResult.check`, towards the property ``names[index]``, while
-    it is paused at that case, so ``detail`` still sees the case's loop
-    variables.  One callable per name is registered and returned, in order.
+    :meth:`PropertyResult.check`, towards the property ``names[index]``.  One
+    callable per name is registered and returned, in order.
     Called as ``run(bounds)`` it runs the sweep and returns its own result.
     Called as ``run(bounds, held)``, with a dict that :func:`run_suites` owns
     for one run, it takes its result from ``held`` if a sibling's sweep left
@@ -100,8 +101,8 @@ def _properties(suite: str, *names: str):
     def register(sweep: Callable[[Bounds], GroupCases]) -> tuple[Property, ...]:
         def run_all(bounds: Bounds) -> list[PropertyResult]:
             results = [PropertyResult(suite, name) for name in names]
-            for index, ok, detail in sweep(bounds):
-                results[index].check(ok, detail)
+            for index, failure in sweep(bounds):
+                results[index].check(failure)
             return results
 
         def runner(index: int) -> Property:
@@ -122,12 +123,10 @@ def _properties(suite: str, *names: str):
 
 
 def _property(suite: str, name: str):
-    """Register a sweep of ``(ok, detail)`` cases as property ``name`` of ``suite``."""
+    """Register a sweep of failure cases as property ``name`` of ``suite``."""
 
     def register(sweep: Callable[[Bounds], Cases]) -> Property:
-        (run,) = _properties(suite, name)(
-            lambda bounds: ((0, ok, detail) for ok, detail in sweep(bounds))
-        )
+        (run,) = _properties(suite, name)(lambda bounds: zip(itertools.repeat(0), sweep(bounds)))
         return run
 
     return register
@@ -150,7 +149,7 @@ def _ring_cg_total_dimension(bounds: Bounds) -> Cases:
     for i in range(13):
         for j in range(13):
             got = ring.tensor_cg(i, j).total_dim()
-            yield got == (i + 1) * (j + 1), lambda: f"i={i} j={j}: total dim {got}"
+            yield None if got == (i + 1) * (j + 1) else f"i={i} j={j}: total dim {got}"
 
 
 @_property("ring", "fuse_is_truncated_cg")
@@ -163,7 +162,7 @@ def _ring_fuse_is_truncated_cg(bounds: Bounds) -> Cases:
                     {k: c for k, c in ring.tensor_cg(i, j).items() if k <= top}
                 )
                 got = ring.fuse_pair(i, j, level)
-                yield got == expected, lambda: f"i={i} j={j} l={level}: {got.coeffs}"
+                yield None if got == expected else f"i={i} j={j} l={level}: {got.coeffs}"
 
 
 @_property("ring", "fusion_quotient_identity")
@@ -177,9 +176,9 @@ def _ring_fusion_quotient_identity(bounds: Bounds) -> Cases:
                 )
                 fused = ring.fuse_pair(i, j, level)
                 yield (
-                    reduced == fused,
-                    lambda: f"i={i} j={j} l={level}: "
-                    f"reduced {reduced.coeffs} != fused {fused.coeffs}",
+                    None
+                    if reduced == fused
+                    else f"i={i} j={j} l={level}: reduced {reduced.coeffs} != fused {fused.coeffs}"
                 )
 
 
@@ -189,7 +188,7 @@ def _ring_quotient_reflection(bounds: Bounds) -> Cases:
         for m in range(1, level + 2):
             got = ring.quotient_reduce(ring.RingElement.simple(level + 1 + m), level)
             expected = ring.RingElement({level + 1 - m: -1})
-            yield got == expected, lambda: f"l={level} m={m}: {got.coeffs}"
+            yield None if got == expected else f"l={level} m={m}: {got.coeffs}"
 
 
 @_property("ring", "fuse_many_bracketing_independent")
@@ -201,8 +200,9 @@ def _ring_bracketing_independence(bounds: Bounds) -> Cases:
             for ws in itertools.product(range(1, top_w + 1), repeat=r):
                 results = {ring.fuse_many(ws, level, t) for t in trees}
                 yield (
-                    len(results) == 1,
-                    lambda: f"ws={ws} l={level}: {len(results)} distinct results across trees",
+                    None
+                    if len(results) == 1
+                    else f"ws={ws} l={level}: {len(results)} distinct results across trees"
                 )
 
 
@@ -213,7 +213,7 @@ def _ring_generator_assoc_comm(bounds: Bounds) -> Cases:
         left = ring.ring_mul(ring.ring_mul(simples[i], simples[j]), simples[k])
         right = ring.ring_mul(simples[i], ring.ring_mul(simples[j], simples[k]))
         comm = ring.ring_mul(simples[j], simples[i]) == ring.ring_mul(simples[i], simples[j])
-        yield left == right and comm, lambda: f"i={i} j={j} k={k}"
+        yield None if left == right and comm else f"i={i} j={j} k={k}"
 
 
 # ------------------------------------------------------------- matches suite
@@ -275,20 +275,22 @@ def _matches_properties(bounds: Bounds) -> GroupCases:
         for mu in range(sum(ws) + 1):
             got = counts.get(mu, 0)
             expected = product.coeff(mu)
-            yield 0, got == expected, lambda: f"ws={ws} mu={mu}: {got} matches, hom dim {expected}"
+            yield 0, (
+                None if got == expected else f"ws={ws} mu={mu}: {got} matches, hom dim {expected}"
+            )
 
         total = sum(m.mu + 1 for m in matches)
         expected = 1
         for w in ws:
             expected *= w + 1
-        yield 1, total == expected, lambda: f"ws={ws}: oriented total {total} != {expected}"
+        yield 1, None if total == expected else f"ws={ws}: oriented total {total} != {expected}"
 
         census: dict[int, int] = {}
         for m in matches:
             for o in diagrams.orientations(m):
                 census[o.weight] = census.get(o.weight, 0) + 1
         expected = ring.weight_multiplicities(product)
-        yield 2, census == expected, lambda: f"ws={ws}: census {census} != {expected}"
+        yield 2, None if census == expected else f"ws={ws}: census {census} != {expected}"
 
         if sum(ws) <= 10:
             boxes = diagrams.BoxConfig(ws)
@@ -298,14 +300,14 @@ def _matches_properties(bounds: Bounds) -> GroupCases:
                 if diagrams.validate(boxes, arcs)
             ]
             fast = [m.arcs for m in matches]
-            yield 3, brute == fast, lambda: f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}"
+            yield 3, None if brute == fast else f"ws={ws}: kernel/{len(fast)} vs brute/{len(brute)}"
 
         for m in matches:
             nested = any(
                 p < u < q for u in m.unmatched() for p, q in m.arcs
             )
             valid = diagrams.validate(m.boxes, m.arcs)
-            yield 4, not nested and valid, lambda: f"ws={ws} arcs={m.arcs}"
+            yield 4, None if valid and not nested else f"ws={ws} arcs={m.arcs}"
 
 
 (
@@ -330,8 +332,9 @@ def _bracketing_count_equals_fusion_dim(bounds: Bounds) -> Cases:
                 got = counted.get(mu, 0)
                 expected = fused.coeff(mu)
                 yield (
-                    got == expected,
-                    lambda: f"ws={ws} mu={mu} l={level}: counted {got}, fusion dim {expected}",
+                    None
+                    if got == expected
+                    else f"ws={ws} mu={mu} l={level}: counted {got}, fusion dim {expected}"
                 )
 
 
@@ -345,8 +348,9 @@ def _bracketing_count_independent_of_tree(bounds: Bounds) -> Cases:
                 for mu in range(sum(ws) + 1):
                     counts = {counted.get(mu, 0) for counted in per_tree}
                     yield (
-                        len(counts) == 1,
-                        lambda: f"ws={ws} mu={mu} l={level}: counts {sorted(counts)} differ",
+                        None
+                        if len(counts) == 1
+                        else f"ws={ws} mu={mu} l={level}: counts {sorted(counts)} differ"
                     )
 
 
@@ -360,8 +364,9 @@ def _bracketing_pair_closed_form(bounds: Bounds) -> Cases:
                     got = bracketing.satisfies_truncation(m, level, pair)
                     expected = m.mu <= 2 * level - w1 - w2
                     yield (
-                        got == expected,
-                        lambda: f"ws=({w1},{w2}) arcs={m.arcs} l={level}: {got} vs {expected}",
+                        None
+                        if got == expected
+                        else f"ws=({w1},{w2}) arcs={m.arcs} l={level}: {got} vs {expected}"
                     )
 
 
@@ -374,8 +379,9 @@ def _bracketing_level_monotonicity(bounds: Bounds) -> Cases:
             passes = [load <= level for level in range(1, bounds.max_level + 1)]
             for level, lower, higher in zip(itertools.count(1), passes, passes[1:]):
                 yield (
-                    higher or not lower,
-                    lambda: f"ws={ws} arcs={m.arcs}: passes l={level} but not l={level + 1}",
+                    None
+                    if higher or not lower
+                    else f"ws={ws} arcs={m.arcs}: passes l={level} but not l={level + 1}"
                 )
 
 
@@ -445,14 +451,16 @@ def _bracketing_stratified_properties(bounds: Bounds) -> GroupCases:
                 formula_b = bracketing.rb_count(w1, w2, w3, level, n)
                 yield (
                     0,
-                    got_a == formula_a and got_b == formula_b,
-                    lambda: f"ws={ws} l={level} n={n}: enumerated ({got_a},{got_b}) "
+                    None
+                    if got_a == formula_a and got_b == formula_b
+                    else f"ws={ws} l={level} n={n}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
                 yield (
                     2,
-                    formula_a == formula_b,
-                    lambda: f"ws={ws} l={level} n={n}: ra={formula_a} rb={formula_b}",
+                    None
+                    if formula_a == formula_b
+                    else f"ws={ws} l={level} n={n}: ra={formula_a} rb={formula_b}",
                 )
             for c in range(1, min(w1, w3) + 1):
                 got_a = by_c["s1"].get(c, 0)
@@ -461,14 +469,16 @@ def _bracketing_stratified_properties(bounds: Bounds) -> GroupCases:
                 formula_b = bracketing.rb_count_c(w1, w2, w3, level, c)
                 yield (
                     1,
-                    got_a == formula_a and got_b == formula_b,
-                    lambda: f"ws={ws} l={level} c={c}: enumerated ({got_a},{got_b}) "
+                    None
+                    if got_a == formula_a and got_b == formula_b
+                    else f"ws={ws} l={level} c={c}: enumerated ({got_a},{got_b}) "
                     f"vs closed form ({formula_a},{formula_b})",
                 )
                 yield (
                     2,
-                    formula_a == formula_b,
-                    lambda: f"ws={ws} l={level} c={c}: ra_c={formula_a} rb_c={formula_b}",
+                    None
+                    if formula_a == formula_b
+                    else f"ws={ws} l={level} c={c}: ra_c={formula_a} rb_c={formula_b}",
                 )
 
 
@@ -500,24 +510,22 @@ def _module_properties(bounds: Bounds) -> GroupCases:
         fused = ring.fuse_many(ws, level)
 
         ok = module_action.verify_sl2(module_action.action_matrices(basis))
-        yield 0, ok, lambda: f"ws={ws} l={level}: commutation relations fail"
+        yield 0, None if ok else f"ws={ws} l={level}: commutation relations fail"
 
         got = module_action.isotypic_census(basis)
         expected = fused.coeffs
-        yield 1, got == expected, lambda: f"ws={ws} l={level}: census {got} != {expected}"
+        yield 1, None if got == expected else f"ws={ws} l={level}: census {got} != {expected}"
 
         expected = fused.total_dim()
-        yield (
-            2,
-            basis.dim == expected,
-            lambda: f"ws={ws} l={level}: dim {basis.dim} != {expected}",
+        yield 2, (
+            None if basis.dim == expected else f"ws={ws} l={level}: dim {basis.dim} != {expected}"
         )
 
         census: dict[int, int] = {}
         for o in basis.elements:
             census[o.weight] = census.get(o.weight, 0) + 1
         expected = ring.weight_multiplicities(fused)
-        yield 3, census == expected, lambda: f"ws={ws} l={level}: {census} != {expected}"
+        yield 3, None if census == expected else f"ws={ws} l={level}: {census} != {expected}"
 
 
 (
@@ -546,8 +554,9 @@ def _geometry_nl_equiv_budget(bounds: Bounds) -> Cases:
                 got = threshold <= level
                 expected = load <= level
                 yield (
-                    got == expected,
-                    lambda: f"ws={ws} arcs={m.arcs} l={level}: nl={got} budget={expected}",
+                    None
+                    if got == expected
+                    else f"ws={ws} arcs={m.arcs} l={level}: nl={got} budget={expected}"
                 )
 
 
@@ -555,23 +564,20 @@ def _geometry_nl_equiv_budget(bounds: Bounds) -> Cases:
 def _geometry_census_matches_fusion(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
         for level in _levels(ws, bounds):
-            per_mu, total_dim = geometry._census_counts(ws, level)
+            census = geometry.component_census(ws, level)
             fused = ring.fuse_many(ws, level)
-            ok = total_dim == fused.total_dim() and per_mu == fused.coeffs
-            yield ok, lambda: f"ws={ws} l={level}: census {per_mu} vs {fused.coeffs}"
+            ok = census.total_dim == fused.total_dim() and census.per_mu == fused.coeffs
+            yield None if ok else f"ws={ws} l={level}: census {census.per_mu} vs {fused.coeffs}"
 
 
 @_property("geometry", "untruncated_dim_product")
 def _geometry_untruncated_dim_product(bounds: Bounds) -> Cases:
     for ws in _box_configs(bounds.max_rank, bounds.max_weight):
-        _, total_dim = geometry._census_counts(ws, None)
+        total_dim = geometry.component_census(ws, None).total_dim
         expected = 1
         for w in ws:
             expected *= w + 1
-        yield (
-            total_dim == expected,
-            lambda: f"ws={ws}: total dim {total_dim} != {expected}",
-        )
+        yield None if total_dim == expected else f"ws={ws}: total dim {total_dim} != {expected}"
 
 
 @_property("geometry", "dim_formulas")
@@ -585,7 +591,7 @@ def _geometry_dim_formulas(bounds: Bounds) -> Cases:
                 and dm == geometry.dim_m(w - v, w)
                 and geometry.dim_z(v, v, w) == dm
             )
-            yield ok, lambda: f"v={v} w={w}"
+            yield None if ok else f"v={v} w={w}"
 
 
 @_property("geometry", "pair_highest_weight_window")
@@ -593,7 +599,7 @@ def _geometry_pair_highest_weight_window(bounds: Bounds) -> Cases:
     for w1 in range(1, bounds.max_weight + 1):
         for w2 in range(1, bounds.max_weight + 1):
             for level in range(max(w1, w2), bounds.max_level + 1):
-                per_mu, _ = geometry._census_counts((w1, w2), level)
+                per_mu = geometry.component_census((w1, w2), level).per_mu
                 for mu in range(w1 + w2 + 1):
                     inside = (
                         abs(w1 - w2) <= mu <= min(w1 + w2, 2 * level - w1 - w2)
@@ -601,8 +607,9 @@ def _geometry_pair_highest_weight_window(bounds: Bounds) -> Cases:
                     )
                     got = per_mu.get(mu, 0)
                     yield (
-                        got == (1 if inside else 0),
-                        lambda: f"w1={w1} w2={w2} l={level} mu={mu}: count {got}",
+                        None
+                        if got == (1 if inside else 0)
+                        else f"w1={w1} w2={w2} l={level} mu={mu}: count {got}"
                     )
 
 

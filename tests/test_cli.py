@@ -322,6 +322,30 @@ def test_verify_bounds_read_their_fields_as_integers():
     assert all(type(value) is int for value in dataclasses.astuple(bounds))
 
 
+def test_property_result_counts_a_none_case_as_a_pass():
+    result = verify.PropertyResult("ring", "example")
+    for _ in range(3):
+        result.check(None)
+    assert (result.cases, result.failure_count, result.failures) == (3, 0, [])
+    assert result.passed
+
+
+def test_property_result_counts_a_text_case_as_a_failure_and_keeps_the_first_five():
+    result = verify.PropertyResult("ring", "example")
+    result.check(None)
+    for i in range(8):
+        result.check(f"case {i}")
+    result.check(None)
+    assert verify.MAX_COUNTEREXAMPLES == 5
+    assert (result.cases, result.failure_count) == (10, 8)
+    assert result.failures == [f"case {i}" for i in range(5)]
+    assert not result.passed
+    # An empty text is still a counterexample; only None passes.
+    result = verify.PropertyResult("ring", "example")
+    result.check("")
+    assert (result.failure_count, result.failures) == (1, [""])
+
+
 def test_verify_ring_suite_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "ring",

@@ -23,12 +23,12 @@ from fusionkit.geometry import (
     component_census,
     dim_m,
     dim_z,
-    hw_from_rank,
     kernel_profile,
     nl_condition,
     nl_threshold,
     truncated_matches,
 )
+from fusionkit.kernels import enumerate_arc_sets
 from fusionkit.ring import fuse_many, weight_multiplicities
 
 
@@ -64,13 +64,6 @@ def test_dim_formulas_sweep():
         for v1 in range(w + 1):
             for v2 in range(w + 1):
                 assert dim_z(v1, v2, w) == v1 * (w - v1) + v2 * (w - v2)
-
-
-def test_hw_from_rank():
-    assert hw_from_rank(4, 1) == 2
-    assert hw_from_rank(5, 0) == 5
-    with pytest.raises(ValueError):
-        hw_from_rank(3, 2)
 
 
 # -------------------------------------------------------------- kernel profiles
@@ -239,29 +232,77 @@ def test_truncated_matches_make_no_budget_check_when_no_scope_can_bind(monkeypat
     assert len(truncated_matches((2, 2), 3)) == 2 and calls == [3, 3, 3]
 
 
-def test_census_counts_equal_the_census_without_writing_labels(monkeypatch):
-    cases = []
+def _count_census_work(monkeypatch) -> dict:
+    """Count the LowerMatch objects built and the budget checks the census makes from here on."""
+    counts = {"matches": 0, "checks": 0}
+    wrap = LowerMatch._from_kernel.__func__
+    init = LowerMatch.__post_init__
+    check = geometry.satisfies_truncation
+
+    def from_kernel(cls, boxes, arcs):
+        counts["matches"] += 1
+        return wrap(cls, boxes, arcs)
+
+    def post_init(self):
+        counts["matches"] += 1
+        init(self)
+
+    def checked(m, level, tree):
+        counts["checks"] += 1
+        return check(m, level, tree)
+
+    monkeypatch.setattr(LowerMatch, "_from_kernel", classmethod(from_kernel))
+    monkeypatch.setattr(LowerMatch, "__post_init__", post_init)
+    monkeypatch.setattr(geometry, "satisfies_truncation", checked)
+    return counts
+
+
+def test_component_census_builds_matches_only_on_the_filtered_route(monkeypatch):
+    # Untruncated, searched and level >= total censuses build no match and
+    # make no budget check; a filtered one (only operations covering every
+    # vertex bind) builds every match once and checks each once.
+    counts = _count_census_work(monkeypatch)
+    routes = Counter()
     for r in range(1, 5):
         for ws in itertools.product(range(0, 3), repeat=r):
-            trees = [None, *enumerate_trees(r)]
-            cases += [(ws, None, tree) for tree in trees]
-            cases += [(ws, level, tree) for tree in trees for level in range(max(1, *ws), 6)]
-    expected = {}
-    for ws, level, tree in cases:
-        census = component_census(ws, level, tree)
-        expected[ws, level, tree] = (census.per_mu, census.total_dim)
-    monkeypatch.setattr(geometry, "arc_set_keys", None)
-    monkeypatch.setattr(geometry, "searched_keys", None)
-    for ws, level, tree in cases:
-        got = geometry._census_counts(ws, level, tree)
-        assert got == expected[ws, level, tree], (ws, level, tree)
-        assert list(got[0]) == sorted(got[0])
-    # Bad inputs are refused as the census refuses them.
-    with pytest.raises(ValueError, match="level alcove"):
-        geometry._census_counts((3, 1), 2)
-    for level in (None, 2):
-        with pytest.raises(ValueError, match="bracketing covers"):
-            geometry._census_counts((1, 1), level, BracketTree.left_comb(5))
+            total = sum(ws)
+            matches = len(enumerate_arc_sets(ws))
+            component_census(ws)
+            assert counts == {"matches": 0, "checks": 0}, ws
+            routes["untruncated"] += 1
+            for tree in enumerate_trees(r):
+                for level in range(max(1, *ws), total + 2):
+                    searched = search_budget(ws, level, tree) is not None
+                    component_census(ws, level, tree)
+                    if searched or level >= total:
+                        assert counts == {"matches": 0, "checks": 0}, (ws, tree, level)
+                        routes["searched" if searched else "unbound"] += 1
+                    else:
+                        assert counts == {"matches": matches, "checks": matches}, (ws, tree, level)
+                        routes["filtered"] += 1
+                    counts.update(matches=0, checks=0)
+    assert all(routes[route] for route in ("untruncated", "searched", "unbound", "filtered"))
+    census = component_census((2, 2), 2)
+    assert census.total_components == 1
+    assert counts == {"matches": 3, "checks": 3}
+
+
+def test_verify_geometry_suite_reads_the_census(monkeypatch):
+    # Its three census properties take their counts from the census that
+    # ``fusionkit components`` prints: 1,174 (ws, l) points, 340 untruncated
+    # tuples and 62 (w1, w2, l) pairs at default bounds.
+    calls = []
+    real = geometry.component_census
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "component_census", counted)
+    results = verify.run_suites(["geometry"], verify.Bounds())
+    assert all(result.passed for result in results)
+    assert len(calls) == 1_174 + 340 + 62 == 1_576
+    assert not hasattr(geometry, "_census_counts")
 
 
 def _census_fields(census: ComponentCensus) -> tuple:
