@@ -186,8 +186,8 @@ def component_census(boxes, level: int | None = None, tree: BracketTree | None =
     untruncated census, or one at a level at least the vertex count, where no
     scope can bind, counts and labels the kernel's cached arc tuples.  Neither
     builds a :class:`LowerMatch`; only the filtered census, where only
-    operations covering every vertex bind, takes its arcs from the matches
-    :func:`truncated_matches` builds and scores.
+    operations covering every vertex bind, builds every match and scores it
+    with ``satisfies_truncation``, as :func:`truncated_matches` does.
     """
     boxes = BoxConfig.coerce(boxes)
     if level is not None:
@@ -202,7 +202,8 @@ def component_census(boxes, level: int | None = None, tree: BracketTree | None =
         if level is None or level >= boxes.total:
             arc_sets = enumerate_arc_sets(boxes.sizes)
         else:
-            arc_sets = [m.arcs for m in truncated_matches(boxes, level, tree)]
+            matches = enumerate_lcm(boxes)
+            arc_sets = [m.arcs for m in matches if satisfies_truncation(m, level, tree)]
         labels = arc_set_keys(boxes.sizes, arc_sets)
         arc_counts = map(len, arc_sets)
     by_arcs = Counter(arc_counts)

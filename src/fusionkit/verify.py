@@ -6,8 +6,7 @@ from the CLI flags.  Each is declared once, as a generator of cases under
 counterexample text, or None when it passes, and the text is formatted only
 for a failing case.  A property returns its case count and the first few
 counterexamples verbatim, so a failing sweep points straight at the offending
-configuration.  Properties run in declaration order on one thread, so the
-report is in a fixed order.
+configuration.
 
 Properties that walk the same sweep points are declared together, as one
 generator of ``(index, failure)`` cases under ``@_properties(suite, *names)``,
@@ -23,12 +22,29 @@ others take the results it held for them; called on its own, a callable runs
 its group's sweep afresh.  Nothing outlives its sweep point or its run.  The
 census properties read :func:`geometry.component_census`, the census that
 ``fusionkit components`` prints.
+
+:func:`run_suites` shards its sweeps over the CPUs this process may run on.
+It forks one worker per CPU, at most ``MAX_WORKERS``, before its first group
+starts; the calling process is worker 0.  Every sweep draws its outermost
+loop through :func:`_points`, so worker k of n takes every n-th point of it,
+from point k on.  Every worker runs the same groups in the same order, and
+each forked one sends, per group, each property's case count, failure count
+and first counterexamples with their point indices, as plain ints and
+strings through a pipe.  Worker 0 merges them into its own group's results:
+counts are summed and the counterexamples ordered by point index, then cut
+to the first ``MAX_COUNTEREXAMPLES``.  A point's cases all come from one
+worker in sweep order, so the report is the serial one, byte for byte, for
+any worker count.  The run is serial where ``os.fork`` is missing, where
+other threads are alive, inside a worker, and on one CPU.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import operator
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -37,6 +53,9 @@ from . import bracketing, diagrams, geometry, module_action, ring
 from .bracketing import BracketTree
 
 MAX_COUNTEREXAMPLES = 5
+# Each worker fills its own caches, so more workers than this cost more
+# memory than their share of the sweep saves.
+MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -101,9 +120,13 @@ def _properties(suite: str, *names: str):
     def register(sweep: Callable[[Bounds], GroupCases]) -> tuple[Property, ...]:
         def run_all(bounds: Bounds) -> list[PropertyResult]:
             results = [PropertyResult(suite, name) for name in names]
+            points: list[list[int]] = [[] for _ in names]  # the point of each kept failure
             for index, failure in sweep(bounds):
-                results[index].check(failure)
-            return results
+                result = results[index]
+                result.check(failure)
+                if failure is not None and len(points[index]) < MAX_COUNTEREXAMPLES:
+                    points[index].append(_point)
+            return results if _exchange is None else _exchange(results, points)
 
         def runner(index: int) -> Property:
             def run(bounds: Bounds, held: dict | None = None) -> PropertyResult:
@@ -132,6 +155,27 @@ def _property(suite: str, name: str):
     return register
 
 
+# The sharded run in progress: (this worker, workers), and what each group's
+# ``run_all`` does with its results and kept failure points (None when serial).
+_shard: tuple[int, int] = (0, 1)
+_exchange: Callable[[list[PropertyResult], list[list[int]]], list[PropertyResult]] | None = None
+# The index of the running point in its sweep's outermost loop.
+_point = 0
+
+
+def _points(items):
+    """This worker's points of a sweep's outermost loop: every n-th, from point k on.
+
+    Every sweep draws its outermost loop through here, so the workers of a
+    run split it between them; records the running point's index in
+    ``_point``.
+    """
+    global _point
+    worker, workers = _shard
+    for _point, item in itertools.islice(enumerate(items), worker, None, workers):
+        yield item
+
+
 def _box_configs(max_rank: int, max_weight: int):
     for r in range(1, max_rank + 1):
         yield from itertools.product(range(1, max_weight + 1), repeat=r)
@@ -146,7 +190,7 @@ def _levels(ws, bounds: Bounds):
 
 @_property("ring", "cg_total_dimension")
 def _ring_cg_total_dimension(bounds: Bounds) -> Cases:
-    for i in range(13):
+    for i in _points(range(13)):
         for j in range(13):
             got = ring.tensor_cg(i, j).total_dim()
             yield None if got == (i + 1) * (j + 1) else f"i={i} j={j}: total dim {got}"
@@ -154,7 +198,7 @@ def _ring_cg_total_dimension(bounds: Bounds) -> Cases:
 
 @_property("ring", "fuse_is_truncated_cg")
 def _ring_fuse_is_truncated_cg(bounds: Bounds) -> Cases:
-    for level in range(1, bounds.max_level + 1):
+    for level in _points(range(1, bounds.max_level + 1)):
         for i in range(level + 1):
             for j in range(level + 1):
                 top = min(i + j, 2 * level - i - j)
@@ -167,7 +211,7 @@ def _ring_fuse_is_truncated_cg(bounds: Bounds) -> Cases:
 
 @_property("ring", "fusion_quotient_identity")
 def _ring_fusion_quotient_identity(bounds: Bounds) -> Cases:
-    for level in range(1, bounds.max_level + 1):
+    for level in _points(range(1, bounds.max_level + 1)):
         for i in range(1, level + 1):
             for j in range(1, level + 1):
                 reduced = ring.quotient_reduce(
@@ -184,7 +228,7 @@ def _ring_fusion_quotient_identity(bounds: Bounds) -> Cases:
 
 @_property("ring", "quotient_reflection")
 def _ring_quotient_reflection(bounds: Bounds) -> Cases:
-    for level in range(1, bounds.max_level + 1):
+    for level in _points(range(1, bounds.max_level + 1)):
         for m in range(1, level + 2):
             got = ring.quotient_reduce(ring.RingElement.simple(level + 1 + m), level)
             expected = ring.RingElement({level + 1 - m: -1})
@@ -193,23 +237,28 @@ def _ring_quotient_reflection(bounds: Bounds) -> Cases:
 
 @_property("ring", "fuse_many_bracketing_independent")
 def _ring_bracketing_independence(bounds: Bounds) -> Cases:
-    for r in range(2, min(bounds.max_rank, 4) + 1):
-        trees = bracketing.enumerate_trees(r)
-        for level in range(1, bounds.max_level + 1):
-            top_w = min(bounds.max_weight, level)
-            for ws in itertools.product(range(1, top_w + 1), repeat=r):
-                results = {ring.fuse_many(ws, level, t) for t in trees}
-                yield (
-                    None
-                    if len(results) == 1
-                    else f"ws={ws} l={level}: {len(results)} distinct results across trees"
-                )
+    # One point per (level, ws), so that the shards split the rank-4 points.
+    ranks = range(2, min(bounds.max_rank, 4) + 1)
+    trees = {r: bracketing.enumerate_trees(r) for r in ranks}
+    sweep = (
+        (level, ws)
+        for r in ranks
+        for level in range(1, bounds.max_level + 1)
+        for ws in itertools.product(range(1, min(bounds.max_weight, level) + 1), repeat=r)
+    )
+    for level, ws in _points(sweep):
+        results = {ring.fuse_many(ws, level, t) for t in trees[len(ws)]}
+        yield (
+            None
+            if len(results) == 1
+            else f"ws={ws} l={level}: {len(results)} distinct results across trees"
+        )
 
 
 @_property("ring", "generator_assoc_comm")
 def _ring_generator_assoc_comm(bounds: Bounds) -> Cases:
     simples = [ring.RingElement.simple(i) for i in range(9)]
-    for i, j, k in itertools.product(range(9), repeat=3):
+    for i, j, k in _points(itertools.product(range(9), repeat=3)):
         left = ring.ring_mul(ring.ring_mul(simples[i], simples[j]), simples[k])
         right = ring.ring_mul(simples[i], ring.ring_mul(simples[j], simples[k]))
         comm = ring.ring_mul(simples[j], simples[i]) == ring.ring_mul(simples[i], simples[j])
@@ -265,7 +314,7 @@ def _unit_box_matchings(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     "no_nested_unmatched",
 )
 def _matches_properties(bounds: Bounds) -> GroupCases:
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
+    for ws in _points(_box_configs(bounds.max_rank, bounds.max_weight)):
         matches = diagrams.enumerate_lcm(ws)
         product = ring.tensor_many(ws)
 
@@ -324,7 +373,7 @@ def _matches_properties(bounds: Bounds) -> GroupCases:
 
 @_property("bracketing", "truncated_count_equals_fusion_dim")
 def _bracketing_count_equals_fusion_dim(bounds: Bounds) -> Cases:
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
+    for ws in _points(_box_configs(bounds.max_rank, bounds.max_weight)):
         for level in _levels(ws, bounds):
             fused = ring.fuse_many(ws, level)
             counted = bracketing.count_truncated(ws, level)
@@ -340,24 +389,27 @@ def _bracketing_count_equals_fusion_dim(bounds: Bounds) -> Cases:
 
 @_property("bracketing", "count_independent_of_tree")
 def _bracketing_count_independent_of_tree(bounds: Bounds) -> Cases:
-    for r in range(3, min(bounds.max_rank, 4) + 1):
-        trees = bracketing.enumerate_trees(r)
-        for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=r):
-            for level in _levels(ws, bounds):
-                per_tree = [bracketing.count_truncated(ws, level, t) for t in trees]
-                for mu in range(sum(ws) + 1):
-                    counts = {counted.get(mu, 0) for counted in per_tree}
-                    yield (
-                        None
-                        if len(counts) == 1
-                        else f"ws={ws} mu={mu} l={level}: counts {sorted(counts)} differ"
-                    )
+    # One point per ws, so that the shards split the rank-4 tuples.
+    ranks = range(3, min(bounds.max_rank, 4) + 1)
+    trees = {r: bracketing.enumerate_trees(r) for r in ranks}
+    weights = range(1, bounds.max_weight + 1)
+    sweep = (ws for r in ranks for ws in itertools.product(weights, repeat=r))
+    for ws in _points(sweep):
+        for level in _levels(ws, bounds):
+            per_tree = [bracketing.count_truncated(ws, level, t) for t in trees[len(ws)]]
+            for mu in range(sum(ws) + 1):
+                counts = {counted.get(mu, 0) for counted in per_tree}
+                yield (
+                    None
+                    if len(counts) == 1
+                    else f"ws={ws} mu={mu} l={level}: counts {sorted(counts)} differ"
+                )
 
 
 @_property("bracketing", "pair_budget_closed_form")
 def _bracketing_pair_closed_form(bounds: Bounds) -> Cases:
     pair = BracketTree.left_comb(2)
-    for w1 in range(1, bounds.max_weight + 1):
+    for w1 in _points(range(1, bounds.max_weight + 1)):
         for w2 in range(1, bounds.max_weight + 1):
             for level in range(1, bounds.max_level + 1):
                 for m in diagrams.enumerate_lcm((w1, w2)):
@@ -372,7 +424,7 @@ def _bracketing_pair_closed_form(bounds: Bounds) -> Cases:
 
 @_property("bracketing", "level_monotonicity")
 def _bracketing_level_monotonicity(bounds: Bounds) -> Cases:
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
+    for ws in _points(_box_configs(bounds.max_rank, bounds.max_weight)):
         tree = BracketTree.left_comb(len(ws))
         for m in diagrams.enumerate_lcm(ws):
             load = bracketing.budget_load(m, tree)
@@ -439,7 +491,7 @@ def _stratified_counts(scored, level):
     "ra_equals_rb",
 )
 def _bracketing_stratified_properties(bounds: Bounds) -> GroupCases:
-    for ws in itertools.product(range(1, bounds.max_weight + 1), repeat=3):
+    for ws in _points(itertools.product(range(1, bounds.max_weight + 1), repeat=3)):
         w1, w2, w3 = ws
         scored = _scored_strata(ws)
         for level in _levels(ws, bounds):
@@ -493,7 +545,7 @@ def _bracketing_stratified_properties(bounds: Bounds) -> GroupCases:
 
 
 def _module_sweep(bounds: Bounds):
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
+    for ws in _points(_box_configs(bounds.max_rank, bounds.max_weight)):
         for level in _levels(ws, bounds):
             yield ws, level, module_action.build_basis(ws, level)
 
@@ -544,7 +596,7 @@ def _geometry_nl_equiv_budget(bounds: Bounds) -> Cases:
     # A single box has no tensor operation for the budget to constrain, while
     # the kernel inequality still enforces w1 <= l, so r = 1 is compared only
     # on levels the factor fits.
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
+    for ws in _points(_box_configs(bounds.max_rank, bounds.max_weight)):
         tree = BracketTree.left_comb(len(ws))
         start_level = max(ws) if len(ws) == 1 else 1
         for m in diagrams.enumerate_lcm(ws):
@@ -562,7 +614,7 @@ def _geometry_nl_equiv_budget(bounds: Bounds) -> Cases:
 
 @_property("geometry", "census_matches_fusion")
 def _geometry_census_matches_fusion(bounds: Bounds) -> Cases:
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
+    for ws in _points(_box_configs(bounds.max_rank, bounds.max_weight)):
         for level in _levels(ws, bounds):
             census = geometry.component_census(ws, level)
             fused = ring.fuse_many(ws, level)
@@ -572,7 +624,7 @@ def _geometry_census_matches_fusion(bounds: Bounds) -> Cases:
 
 @_property("geometry", "untruncated_dim_product")
 def _geometry_untruncated_dim_product(bounds: Bounds) -> Cases:
-    for ws in _box_configs(bounds.max_rank, bounds.max_weight):
+    for ws in _points(_box_configs(bounds.max_rank, bounds.max_weight)):
         total_dim = geometry.component_census(ws, None).total_dim
         expected = 1
         for w in ws:
@@ -582,7 +634,7 @@ def _geometry_untruncated_dim_product(bounds: Bounds) -> Cases:
 
 @_property("geometry", "dim_formulas")
 def _geometry_dim_formulas(bounds: Bounds) -> Cases:
-    for w in range(21):
+    for w in _points(range(21)):
         for v in range(w + 1):
             dm = geometry.dim_m(v, w)
             ok = (
@@ -596,7 +648,7 @@ def _geometry_dim_formulas(bounds: Bounds) -> Cases:
 
 @_property("geometry", "pair_highest_weight_window")
 def _geometry_pair_highest_weight_window(bounds: Bounds) -> Cases:
-    for w1 in range(1, bounds.max_weight + 1):
+    for w1 in _points(range(1, bounds.max_weight + 1)):
         for w2 in range(1, bounds.max_weight + 1):
             for level in range(max(w1, w2), bounds.max_level + 1):
                 per_mu = geometry.component_census((w1, w2), level).per_mu
@@ -616,11 +668,162 @@ def _geometry_pair_highest_weight_window(bounds: Bounds) -> Cases:
 # -------------------------------------------------------------------- runner
 
 
-def run_suites(names, bounds: Bounds) -> list[PropertyResult]:
-    """Run the named suites and return their results in declaration order.
+def _run(names, bounds: Bounds, shard=(0, 1), exchange=None) -> list[PropertyResult]:
+    """Run the named suites as worker ``shard[0]`` of ``shard[1]``, in declaration order.
 
     Each group's sweep runs once: its first property runs it and the others
     take what it held for them in a dict that lives for this call only.
+    ``exchange`` gets each group's results and kept failure points, and its
+    return value stands for the group's results.
     """
-    held: dict = {}
-    return [prop(bounds, held) for name in names for prop in SUITES[name]]
+    global _shard, _exchange
+    outer = _shard, _exchange
+    _shard, _exchange = shard, exchange
+    try:
+        held: dict = {}
+        return [prop(bounds, held) for name in names for prop in SUITES[name]]
+    finally:
+        _shard, _exchange = outer
+
+
+def _partial(results: list[PropertyResult], points: list[list[int]]) -> list:
+    """A group's results as plain ints and strings: per property, the cases,
+    the failure count and the kept (point, text) pairs."""
+    return [
+        (result.cases, result.failure_count, list(zip(kept, result.failures)))
+        for result, kept in zip(results, points)
+    ]
+
+
+def _merge(
+    results: list[PropertyResult], points: list[list[int]], partials
+) -> list[PropertyResult]:
+    """Add other workers' :func:`_partial` results of the same group into ``results``.
+
+    Counts are summed; the counterexamples are ordered by point index and the
+    first ``MAX_COUNTEREXAMPLES`` kept.  A point's failures all come from one
+    worker, in order, and the sort is stable, so they keep their sweep order.
+    """
+    for index, result in enumerate(results):
+        pairs = list(zip(points[index], result.failures))
+        for partial in partials:
+            cases, failure_count, kept = partial[index]
+            result.cases += cases
+            result.failure_count += failure_count
+            pairs += kept
+        pairs.sort(key=lambda pair: pair[0])
+        result.failures = [text for _, text in pairs[:MAX_COUNTEREXAMPLES]]
+    return results
+
+
+def _worker_count() -> int:
+    """One worker per CPU this process may run on, at most ``MAX_WORKERS``.
+
+    A forked child holds only the forking thread, so the run is serial while
+    other threads are alive (none can run without ``threading`` loaded), where
+    ``os.fork`` is missing, and inside a sharded run.
+    """
+    threading = sys.modules.get("threading")
+    if (
+        not hasattr(os, "fork")
+        or _shard[1] > 1
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, MAX_WORKERS))
+
+
+def _send(fd: int, message) -> None:
+    data = marshal.dumps(message)
+    data = len(data).to_bytes(8, "little") + data
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _receive(reader, worker: int) -> list:
+    """The next group's :func:`_partial` from ``worker``; raises its error text if it failed."""
+    head = reader.read(8)
+    if len(head) < 8:
+        raise RuntimeError(f"verify worker {worker} exited without its results")
+    message = marshal.loads(reader.read(int.from_bytes(head, "little")))
+    if isinstance(message, str):
+        raise RuntimeError(f"verify worker {worker} failed:\n{message}")
+    return message
+
+
+def _work(names, bounds: Bounds, shard: tuple[int, int], fd: int) -> None:
+    """A forked worker's whole life: run its shard, send each group's part, exit.
+
+    An error is sent as its traceback text.  ``os._exit`` ends it without
+    running handlers or flushing buffers that it inherited.
+    """
+    code = 1
+    try:
+
+        def send(results, points):
+            _send(fd, _partial(results, points))
+            return results
+
+        _run(names, bounds, shard, send)
+        code = 0
+    except BaseException as exc:  # an interrupt too: the worker ends here, whatever is raised
+        import traceback
+
+        try:
+            _send(fd, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__)))
+        except OSError:  # worker 0 has closed the pipe
+            pass
+    finally:
+        os._exit(code)
+
+
+def run_suites(names, bounds: Bounds) -> list[PropertyResult]:
+    """Run the named suites and return their results in declaration order.
+
+    The sweeps are sharded over :func:`_worker_count` workers, forked here
+    before the first group starts; this process is worker 0 and merges every
+    group's parts.  The results are those of a serial run.  No worker
+    outlives the call: on an error or an interrupt they are killed, and
+    every one is reaped.
+    """
+    workers = _worker_count()
+    if workers == 1:
+        return _run(names, bounds)
+    children: list[tuple[int, object]] = []  # (pid, reader) of workers 1..n-1
+    finished = False
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                for _, reader in children:
+                    reader.close()
+                _work(names, bounds, (worker, workers), write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+
+        def merge(results, points):
+            partials = [_receive(reader, worker) for worker, (_, reader) in enumerate(children, 1)]
+            return _merge(results, points, partials)
+
+        results = _run(names, bounds, (0, workers), merge)
+        finished = True
+        return results
+    finally:
+        for pid, reader in children:
+            reader.close()
+            if not finished:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

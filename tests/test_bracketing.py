@@ -442,7 +442,9 @@ def test_build_basis_equals_enumerate_filter_orient():
         assert list(basis.elements) == expected, (ws, level)
 
 
-def test_bracketing_suite_computes_loads_once_per_tuple_and_tree():
+def test_bracketing_suite_computes_loads_once_per_tuple_and_tree(monkeypatch):
+    # One worker: a forked worker's cache misses are not seen here.
+    monkeypatch.setattr(verify, "MAX_WORKERS", 1)
     bounds = verify.Bounds()
     asked = {(ws, BracketTree.left_comb(len(ws))) for ws in verify._box_configs(4, 4)}
     for r in (3, 4):

@@ -456,6 +456,8 @@ def test_verify_builds_each_basis_and_folds_each_module_product_once(capsys, mon
 
     counted(module_action_module, "build_basis")
     counted(ring_module, "fuse_many")
+    # One worker: a forked worker's calls are not counted here.
+    monkeypatch.setattr(verify, "MAX_WORKERS", 1)
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert (
@@ -556,6 +558,123 @@ def test_verify_holds_no_result_between_runs(monkeypatch):
     assert {r.suite for r in second if not r.passed} == set(GROUPED)
     monkeypatch.undo()
     assert all(r.passed for r in verify.run_suites(list(GROUPED), SMALL))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_two_workers_equal_one_on_planted_defects(monkeypatch):
+    _break_every_group(monkeypatch)
+    names = list(verify.SUITES)
+    monkeypatch.setattr(verify, "_worker_count", lambda: 1)
+    serial = [_summary(r) for r in verify.run_suites(names, SMALL)]
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    sharded = [_summary(r) for r in verify.run_suites(names, SMALL)]
+    _no_child_left()
+    assert sharded == serial
+    # The forked worker's counterexamples are among the first five kept:
+    # worker 0 alone keeps other texts for some property.
+    alone = verify._run(names, SMALL, (0, 2), lambda results, points: results)
+    assert any(mine.failures != summary[4] for mine, summary in zip(alone, serial))
+    assert sum(summary[3] > verify.MAX_COUNTEREXAMPLES for summary in serial) >= 5
+
+
+def test_verify_raises_a_forked_worker_error_with_its_text(monkeypatch):
+    import fusionkit.ring as ring_module
+
+    parent = os.getpid()
+    real = ring_module.tensor_cg
+
+    def planted(i, j):
+        if os.getpid() != parent:
+            raise ValueError(f"planted fault at i={i}")
+        return real(i, j)
+
+    monkeypatch.setattr(ring_module, "tensor_cg", planted)
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="verify worker 1 failed") as raised:
+        verify.run_suites(["ring"], SMALL)
+    _no_child_left()
+    assert "ValueError: planted fault at i=1" in str(raised.value)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_verify_kills_and_reaps_its_workers_when_it_raises(monkeypatch, error):
+    import fusionkit.ring as ring_module
+
+    parent = os.getpid()
+    real = ring_module.tensor_cg
+
+    def planted(i, j):
+        if os.getpid() == parent:
+            raise error("planted in worker 0")
+        return real(i, j)
+
+    monkeypatch.setattr(ring_module, "tensor_cg", planted)
+    monkeypatch.setattr(verify, "_worker_count", lambda: 2)
+    with pytest.raises(error, match="planted in worker 0"):
+        verify.run_suites(list(verify.SUITES), verify.Bounds())
+    _no_child_left()
+
+
+def test_verify_shards_of_a_three_way_split_sum_to_the_serial_run(monkeypatch):
+    # The shards run one after another in this process, with no fork: workers
+    # 2 and 1 keep each group's part, as plain data; worker 0 merges them.
+    import marshal
+
+    import fusionkit.bracketing as bracketing_module
+    import fusionkit.diagrams as diagrams_module
+    import fusionkit.geometry as geometry_module
+    import fusionkit.module_action as module_action_module
+    import fusionkit.ring as ring_module
+
+    _break_every_group(monkeypatch)
+    calls: dict[str, int] = {}
+    for module, name in (
+        (diagrams_module, "enumerate_lcm"),
+        (bracketing_module, "count_truncated"),
+        (module_action_module, "build_basis"),
+        (ring_module, "fuse_many"),
+        (geometry_module, "component_census"),
+    ):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    names = list(verify.SUITES)
+    parts: dict[int, list] = {1: [], 2: []}
+    per_shard = {}
+    for worker in (2, 1):
+        calls.clear()
+
+        def keep(results, points, kept=parts[worker]):
+            kept.append(marshal.loads(marshal.dumps(verify._partial(results, points))))
+            return results
+
+        verify._run(names, SMALL, (worker, 3), keep)
+        per_shard[worker] = dict(calls)
+    groups = iter(zip(parts[1], parts[2]))
+
+    def merge(results, points):
+        return verify._merge(results, points, next(groups))
+
+    calls.clear()
+    merged = verify._run(names, SMALL, (0, 3), merge)
+    per_shard[0] = dict(calls)
+    assert next(groups, None) is None
+    calls.clear()
+    serial = verify._run(names, SMALL)
+    assert [_summary(r) for r in merged] == [_summary(r) for r in serial]
+    assert set(calls) == set(per_shard[0]) == set(per_shard[1]) == set(per_shard[2])
+    for name, count in calls.items():
+        assert sum(shard[name] for shard in per_shard.values()) == count, name
+        assert all(shard[name] < count for shard in per_shard.values()), name
 
 
 def test_verify_output_is_byte_identical_across_runs(capsys):

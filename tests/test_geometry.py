@@ -290,7 +290,9 @@ def test_component_census_builds_matches_only_on_the_filtered_route(monkeypatch)
 def test_verify_geometry_suite_reads_the_census(monkeypatch):
     # Its three census properties take their counts from the census that
     # ``fusionkit components`` prints: 1,174 (ws, l) points, 340 untruncated
-    # tuples and 62 (w1, w2, l) pairs at default bounds.
+    # tuples and 62 (w1, w2, l) pairs at default bounds, on one worker, since
+    # a forked worker's calls are not seen here.
+    monkeypatch.setattr(verify, "MAX_WORKERS", 1)
     calls = []
     real = geometry.component_census
 
