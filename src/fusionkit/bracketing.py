@@ -286,6 +286,37 @@ def satisfies_truncation(m: LowerMatch, level: int, tree: BracketTree) -> bool:
     return budget_load(m, tree) <= level
 
 
+def _plan(boxes, level, tree, *, optional_level=False, routed=True):
+    """A query for the matches on ``boxes`` that fit ``level`` under ``tree``, checked and routed.
+
+    Returns ``(boxes, level, tree, budget, filtered)``.  Every query is
+    checked in one order: the boxes are coerced to a :class:`BoxConfig`, the
+    level is checked against their alcove (None passes with
+    ``optional_level``, for the untruncated census), and the tree is resolved
+    (the left comb for None).  A routed query then takes one of three routes:
+
+    - searched: :func:`search_budget` gives ``budget``, and the pruned search
+      lists exactly the passing matches;
+    - filtered: only operations covering every vertex bind, so ``budget`` is
+      None and ``filtered`` is true: every match is listed and scored by
+      :func:`satisfies_truncation`;
+    - every match: there is no level, or it is at least the vertex count,
+      which no operation's count exceeds; ``budget`` is None.
+
+    ``count_truncated`` and ``build_basis`` read the cached loads of every
+    match (:func:`_passing_arc_sets`) instead, so they are not routed and get
+    ``None, False``.
+    """
+    boxes = BoxConfig.coerce(boxes)
+    if level is not None or not optional_level:
+        level = check_alcove(boxes.sizes, level)
+    tree = resolve_tree(tree, boxes.count)
+    if not routed or level is None or level >= boxes.total:
+        return boxes, level, tree, None, False
+    budget = search_budget(boxes.sizes, level, tree)
+    return boxes, level, tree, budget, budget is None
+
+
 def _passing_arc_sets(sizes: tuple[int, ...], level: int, tree: BracketTree):
     """The arc sets of ``kernels.enumerate_arc_sets(sizes)`` loaded at most ``level``, in order."""
     loads = _budget_loads(sizes, tree)
@@ -294,9 +325,7 @@ def _passing_arc_sets(sizes: tuple[int, ...], level: int, tree: BracketTree):
 
 def count_truncated(boxes, level: int, tree: BracketTree | None = None) -> dict[int, int]:
     """``{mu: count}`` of the budget-passing matches by unmatched vertices mu, ascending, no zeros."""
-    boxes = BoxConfig.coerce(boxes)
-    level = check_alcove(boxes.sizes, level)
-    tree = resolve_tree(tree, boxes.count)
+    boxes, level, tree, _, _ = _plan(boxes, level, tree, routed=False)
     total = boxes.total
     counts = Counter(total - 2 * len(arcs) for arcs in _passing_arc_sets(boxes.sizes, level, tree))
     return dict(sorted(counts.items()))

@@ -380,24 +380,13 @@ def canonical_keys(matches) -> list[str]:
     return [heads[m.boxes.sizes] + ",".join(map(arc_text, m.arcs)) for m in matches]
 
 
-def arc_set_keys(sizes: tuple[int, ...], arc_sets) -> list[str]:
-    """:func:`canonical_keys` of the matches on ``sizes`` with these sorted arc sets.
-
-    No match is built: each key is the head of ``sizes`` and the arcs' texts,
-    spelled as :func:`canonical_keys` spells them.
-    """
-    form = _FORMS["text"]
-    head = form.head(sizes)
-    arc_text = _Memo(lambda arc: form.arc(*arc)).__getitem__
-    return [head + ",".join(map(arc_text, arcs)) for arcs in arc_sets]
-
-
 def searched_keys(sizes: tuple[int, ...], budget) -> list[str]:
-    """:func:`arc_set_keys` of ``kernels.enumerate_arc_sets(sizes, budget)``, for a search budget.
+    """:func:`canonical_keys` of the matches ``kernels.enumerate_arc_sets(sizes, budget)`` lists.
 
-    Written from the search's arc texts (``kernels.arc_texts``): each key is
-    the head of ``sizes`` and the text of the match's arcs, so no arc tuple
-    is built and no arc text is joined per match.
+    ``budget`` is a search budget, or None for every match.  Written from the
+    kernel's arc texts (``kernels.arc_texts``), the search's or the blocks':
+    each key is the head of ``sizes`` and the text of the match's arcs, so no
+    match or arc tuple is built and no arc text is joined per match.
     """
     form = _FORMS["text"]
     head = form.head(sizes)

@@ -15,25 +15,16 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .bracketing import (
-    BracketTree,
-    _check_level,
-    check_alcove,
-    resolve_tree,
-    satisfies_truncation,
-    search_budget,
-)
+from .bracketing import BracketTree, _check_level, _plan, satisfies_truncation
 from .diagrams import (
-    BoxConfig,
     LowerMatch,
     _as_weight,
     _weight_key,
     arc_census,
-    arc_set_keys,
+    canonical_keys,
     enumerate_lcm,
     searched_keys,
 )
-from .kernels import enumerate_arc_sets
 
 
 def _check_dims(*values) -> tuple[int, ...]:
@@ -155,57 +146,43 @@ class ComponentCensus:
         return census
 
 
+def _filtered(boxes, level: int, tree: BracketTree) -> list[LowerMatch]:
+    """The filtered route of ``bracketing._plan``: every match that satisfies the truncation."""
+    return [m for m in enumerate_lcm(boxes) if satisfies_truncation(m, level, tree)]
+
+
 def truncated_matches(boxes, level, tree: BracketTree | None = None) -> list[LowerMatch]:
     """The matches that fit the level budget of ``tree`` (the left comb by default).
 
-    With a :func:`search_budget` the search lists exactly those matches.
-    Without one, when only operations covering every vertex can fail, the
-    full listing is filtered by ``satisfies_truncation``, unless the level is
-    at least the vertex count, which no scope's count can pass.  The order is
-    canonical.
+    The query is checked and routed by ``bracketing._plan``: searched,
+    filtered, or every match.  The order is canonical.
     """
-    boxes = BoxConfig.coerce(boxes)
-    level = check_alcove(boxes.sizes, level)
-    tree = resolve_tree(tree, boxes.count)
-    budget = search_budget(boxes.sizes, level, tree)
-    matches = enumerate_lcm(boxes, budget)
-    if budget is None and level < boxes.total:
-        matches = [m for m in matches if satisfies_truncation(m, level, tree)]
-    return matches
+    boxes, level, tree, budget, filtered = _plan(boxes, level, tree)
+    return _filtered(boxes, level, tree) if filtered else enumerate_lcm(boxes, budget)
 
 
 def component_census(boxes, level: int | None = None, tree: BracketTree | None = None) -> ComponentCensus:
     """Census of strata, truncated at ``level`` or untruncated when it is None.
 
-    The truncation is :func:`truncated_matches`.  ``total_dim`` adds mu+1 per
-    stratum, which is the dimension of the module the census indexes.
-    ``labels`` are as :func:`diagrams.canonical_keys` writes them, and a match
-    with n arcs on ``total`` vertices has mu = total - 2n.  A searched census
-    writes its labels from the search's arc texts
-    (:func:`diagrams.searched_keys`) and counts each label's arcs.  An
-    untruncated census, or one at a level at least the vertex count, where no
-    scope can bind, counts and labels the kernel's cached arc tuples.  Neither
-    builds a :class:`LowerMatch`; only the filtered census, where only
-    operations covering every vertex bind, builds every match and scores it
-    with ``satisfies_truncation``, as :func:`truncated_matches` does.
+    The strata are the matches of :func:`truncated_matches`, on the route
+    ``bracketing._plan`` picks.  ``total_dim`` adds mu+1 per stratum, which is
+    the dimension of the module the census indexes.  ``labels`` are as
+    :func:`diagrams.canonical_keys` writes them, and a match with n arcs on
+    ``total`` vertices has mu = total - 2n.  The searched and every-match
+    routes write the labels from the kernel's arc texts
+    (:func:`diagrams.searched_keys`) and count each label's arcs, building no
+    :class:`LowerMatch`; the filtered route labels and counts the matches that
+    pass.
     """
-    boxes = BoxConfig.coerce(boxes)
-    if level is not None:
-        level = check_alcove(boxes.sizes, level)
-    tree = resolve_tree(tree, boxes.count)  # a tree that does not fit is refused either way
-    budget = None if level is None else search_budget(boxes.sizes, level, tree)
-    if budget is not None:
+    boxes, level, tree, budget, filtered = _plan(boxes, level, tree, optional_level=True)
+    if filtered:
+        matches = _filtered(boxes, level, tree)
+        labels = canonical_keys(matches)
+        arc_counts = [len(m.arcs) for m in matches]
+    else:
         labels = searched_keys(boxes.sizes, budget)
         # A key spells each arc as p-q, and its head holds no "-".
         arc_counts = [label.count("-") for label in labels]
-    else:
-        if level is None or level >= boxes.total:
-            arc_sets = enumerate_arc_sets(boxes.sizes)
-        else:
-            matches = enumerate_lcm(boxes)
-            arc_sets = [m.arcs for m in matches if satisfies_truncation(m, level, tree)]
-        labels = arc_set_keys(boxes.sizes, arc_sets)
-        arc_counts = map(len, arc_sets)
     by_arcs = Counter(arc_counts)
     per_mu = {boxes.total - 2 * n: by_arcs[n] for n in sorted(by_arcs, reverse=True)}
     return ComponentCensus(

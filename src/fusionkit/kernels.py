@@ -11,8 +11,8 @@ unmatched vertex may sit under an arc.  So the perfect matchings of each
 interval and the matches of each suffix are listed once, and a match is a
 concatenation of two such blocks: of arc tuples sharing one ``(i, k)`` object
 per arc for :func:`enumerate_arc_sets`, or of arc texts for
-:func:`arc_texts`, from which ``diagrams`` writes untruncated listings.  Each
-list is built in canonical order, so nothing is sorted.
+:func:`arc_texts`, from which ``diagrams`` writes untruncated listings and
+census labels.  Each list is built in canonical order, so nothing is sorted.
 
 The search walks the boxes left to right, as ballot paths.  A lower match is
 fixed by c_a, the number of arcs that close in each box a: the first c_a

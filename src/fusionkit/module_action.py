@@ -18,7 +18,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .bracketing import BracketTree, _passing_arc_sets, check_alcove, resolve_tree
+from .bracketing import BracketTree, _passing_arc_sets, _plan
 from .diagrams import (
     BoxConfig,
     LowerMatch,
@@ -53,9 +53,7 @@ class ModuleBasis:
 
 
 def build_basis(boxes, level, tree: BracketTree | None = None) -> ModuleBasis:
-    boxes = BoxConfig.coerce(boxes)
-    level = check_alcove(boxes.sizes, level)
-    tree = resolve_tree(tree, boxes.count)
+    boxes, level, tree, _, _ = _plan(boxes, level, tree, routed=False)
     matches = tuple(
         LowerMatch._from_kernel(boxes, arcs) for arcs in _passing_arc_sets(boxes.sizes, level, tree)
     )

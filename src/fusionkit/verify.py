@@ -13,7 +13,7 @@ generator of ``(index, failure)`` cases under ``@_properties(suite, *names)``,
 so each point's data is built once: the module suite builds one basis and
 folds one ``fuse_many`` per (ws, l), the matches suite enumerates the matches
 and folds one ``tensor_many`` per ws, and the three closed-form properties
-score each match's loads once per ws (``_scored_strata``), bucket one
+read each match's loads once per ws (``_scored_strata``), bucket one
 ``_stratified_counts`` per (ws, l) and evaluate each form once per stratum
 (``rb_count`` is ``ra_count`` on the reversed factors, so ``ra_equals_rb``
 checks the reversal symmetry of ``ra_count``).  ``SUITES`` still holds one callable per property.  Within one
@@ -426,8 +426,7 @@ def _bracketing_pair_closed_form(bounds: Bounds) -> Cases:
 def _bracketing_level_monotonicity(bounds: Bounds) -> Cases:
     for ws in _points(_box_configs(bounds.max_rank, bounds.max_weight)):
         tree = BracketTree.left_comb(len(ws))
-        for m in diagrams.enumerate_lcm(ws):
-            load = bracketing.budget_load(m, tree)
+        for m, load in zip(diagrams.enumerate_lcm(ws), bracketing.budget_loads(ws, tree)):
             passes = [load <= level for level in range(1, bounds.max_level + 1)]
             for level, lower, higher in zip(itertools.count(1), passes, passes[1:]):
                 yield (
@@ -450,17 +449,15 @@ def _cross_and_lower_counts(m: diagrams.LowerMatch) -> tuple[int, int]:
 def _scored_strata(ws) -> list[tuple[int, int, int, int]]:
     """(cross, lower, left-comb load, right-comb load) for every match of a three-box tuple.
 
-    A load does not depend on the level, so each match is scored once per
-    tuple and :func:`_stratified_counts` compares the loads at every level.
+    A load does not depend on the level, so the loads are read once per tuple
+    from the cached tables of ``bracketing.budget_loads``, and
+    :func:`_stratified_counts` compares them at every level.
     """
-    left, right = BracketTree.left_comb(3), BracketTree.right_comb(3)
+    left = bracketing.budget_loads(ws, BracketTree.left_comb(3))
+    right = bracketing.budget_loads(ws, BracketTree.right_comb(3))
     return [
-        (
-            *_cross_and_lower_counts(m),
-            bracketing.budget_load(m, left),
-            bracketing.budget_load(m, right),
-        )
-        for m in diagrams.enumerate_lcm(ws)
+        (*_cross_and_lower_counts(m), load_left, load_right)
+        for m, load_left, load_right in zip(diagrams.enumerate_lcm(ws), left, right)
     ]
 
 
@@ -599,9 +596,8 @@ def _geometry_nl_equiv_budget(bounds: Bounds) -> Cases:
     for ws in _points(_box_configs(bounds.max_rank, bounds.max_weight)):
         tree = BracketTree.left_comb(len(ws))
         start_level = max(ws) if len(ws) == 1 else 1
-        for m in diagrams.enumerate_lcm(ws):
+        for m, load in zip(diagrams.enumerate_lcm(ws), bracketing.budget_loads(ws, tree)):
             threshold = geometry.nl_threshold(m)
-            load = bracketing.budget_load(m, tree)
             for level in range(start_level, bounds.max_level + 1):
                 got = threshold <= level
                 expected = load <= level

@@ -417,6 +417,50 @@ def test_count_truncated_refuses_the_old_mu_argument():
         count_truncated((1, 1), 2, 1)
 
 
+# Each bad input of a box query and the error it raises.  The good inputs are
+# the boxes (2, 1), the level 2 and the default tree; level 1 lies below box 2.
+BAD_BOXES = {
+    (-1, 2): (ValueError, "box size must be a nonnegative integer, got -1"),
+    (2.5, 1): (TypeError, "'float' object cannot be interpreted as an integer"),
+    (40, 40): (ValueError, "a box configuration holds at most 64 vertices, got 80"),
+    (): (ValueError, "a box configuration needs at least one box"),
+}
+BAD_LEVELS = {
+    0: (ValueError, "level must be a positive integer, got 0"),
+    -3: (ValueError, "level must be a positive integer, got -3"),
+    2.5: (TypeError, "'float' object cannot be interpreted as an integer"),
+    None: (TypeError, "'NoneType' object cannot be interpreted as an integer"),
+    1: (ValueError, "highest weight 2 lies outside the level alcove 0..1"),
+}
+BAD_TREES = {
+    BracketTree.left_comb(5): (ValueError, "bracketing covers leaves 1..5 but there are 2 factors"),
+    "((12)3)": (TypeError, "expected a BracketTree or None, got '((12)3)'"),
+}
+
+
+def test_box_queries_check_the_boxes_then_the_level_then_the_tree():
+    # Every pair and triple of bad inputs raises the error of the first in
+    # that order; the census alone takes the level None, untruncated.
+    outcomes = 0
+    for query, ws, level, tree in itertools.product(
+        (count_truncated, build_basis, truncated_matches, component_census),
+        [(2, 1), *BAD_BOXES],
+        [2, *BAD_LEVELS],
+        [None, *BAD_TREES],
+    ):
+        level_fault = None if query is component_census and level is None else BAD_LEVELS.get(level)
+        faults = [BAD_BOXES.get(ws), level_fault, BAD_TREES.get(tree)]
+        want = next((fault for fault in faults if fault), None)
+        try:
+            query(ws, level, tree)
+            got = None
+        except (TypeError, ValueError) as exc:
+            got = type(exc), str(exc)
+        assert got == want, (query.__name__, ws, level, tree)
+        outcomes += 1
+    assert outcomes == 4 * 5 * 6 * 3 == 360
+
+
 def test_count_truncated_equals_oracle_filter_for_every_tree():
     bounds = verify.Bounds()
     for ws in verify._box_configs(bounds.max_rank, bounds.max_weight):
@@ -455,9 +499,11 @@ def test_bracketing_suite_computes_loads_once_per_tuple_and_tree(monkeypatch):
     assert all(r.passed for r in results)
     info = bracketing._budget_loads.cache_info()
     assert info.misses == len(asked) == 1428
-    # One count per (tuple, level) and per (tuple, level, tree), 5,960 in all,
-    # each reading its table once.
-    assert info.hits == 5960 - 1428 == 4532
+    # Each reads its table once: one count per (tuple, level) and per
+    # (tuple, level, tree), 5,960 in all; a level_monotonicity read per
+    # tuple, 340; and both comb tables per three-box tuple of
+    # _scored_strata, 64 x 2.
+    assert info.hits == 5960 + 340 + 64 * 2 - 1428 == 5000
 
 
 def test_build_basis_reads_the_shared_loads():

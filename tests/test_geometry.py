@@ -319,10 +319,11 @@ def _census_of_matches(mus, keys) -> tuple:
 
 
 def test_census_from_arc_tuples_equals_the_census_of_matches_on_every_tree():
-    # The census counts and labels the kernel's arc tuples.  Its oracle takes
-    # the LowerMatch route, independent of the search: every match of
-    # enumerate_lcm, kept when its budget load fits the level, counted by
-    # ``.mu`` and keyed by canonical_keys.  Levels run from the largest box to
+    # The census counts and labels the kernel's arc texts, or on the filtered
+    # route the matches that pass.  Its oracle takes the LowerMatch route,
+    # independent of the search: every match of enumerate_lcm, kept when its
+    # budget load fits the level, counted by ``.mu`` and keyed by
+    # canonical_keys.  Levels run from the largest box to
     # one past the vertex count, so walks from the left and from the right,
     # filtered queries and levels that no operation can reach all occur.
     cases = searched = filtered = 0
