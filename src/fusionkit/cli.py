@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``fuse``, ``tensor``, ``matches``, ``components``, ``verify``,
-``render``.  A call builds the parser of the subcommand it names and no
-other; the full parser, for help and for an argv that names none, writes the
-same texts.  Exit codes are a stable contract: 0 success, 1 domain or
-verification failure, 2 usage error.  All listings are emitted in canonical
-order, so output is byte-identical across runs.  A reader that closes stdout
-early (``| head``) ends the listing quietly with exit 0.
+``render``.  The parser is built on the first call and kept for the
+process, so a process that calls :func:`main` many times builds it once.
+Exit codes are a stable contract: 0 success, 1 domain or verification
+failure, 2 usage error.  All listings are emitted in canonical order, so
+output is byte-identical across runs.  A reader that closes stdout early
+(``| head``) ends the listing quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import bracketing, diagrams, geometry, ring, verify
 from .render import ascii_diagram, svg_diagram
@@ -197,7 +198,19 @@ def _add_common(p, *, weights=False, boxes=False, level=None, formats=("text", "
     p.add_argument("--out", "-o", default=None, help="write output to a file")
 
 
-def _add_fuse(sub) -> None:
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The ``fusionkit`` parser with its six subcommands, built once per process.
+
+    ``parse_args`` keeps no state in it, and argparse formats help and usage
+    texts when it prints them, so ``COLUMNS`` is still read on every call.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fusionkit",
+        description="Level-truncated sl2 fusion products and their crossingless-match combinatorics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
     p = sub.add_parser("fuse", help="level fusion product of simple modules")
     _add_common(p, weights=True, level="required")
     p.add_argument("--mu", "-m", type=_int, default=None, help="report only this multiplicity")
@@ -205,15 +218,11 @@ def _add_fuse(sub) -> None:
                    help="bracketing expression such as '((12)3)'; default is the left comb")
     p.set_defaults(func=cmd_fuse)
 
-
-def _add_tensor(sub) -> None:
     p = sub.add_parser("tensor", help="plain tensor product of simple modules")
     _add_common(p, weights=True)
     p.add_argument("--mu", "-m", type=_int, default=None, help="report only this multiplicity")
     p.set_defaults(func=cmd_tensor)
 
-
-def _add_matches(sub) -> None:
     p = sub.add_parser("matches", help="list crossingless matches")
     _add_common(p, boxes=True, level="optional")
     p.add_argument("--mu", "-m", type=_int, default=None, help="restrict to this unmatched count")
@@ -222,16 +231,12 @@ def _add_matches(sub) -> None:
     p.add_argument("--oriented", action="store_true", help="list orientations instead")
     p.set_defaults(func=cmd_matches)
 
-
-def _add_components(sub) -> None:
     p = sub.add_parser("components", help="stratum census of the (truncated) variety")
     _add_common(p, boxes=True, level="optional")
     p.add_argument("--bracketing", "-s", default=None,
                    help="bracketing for the level budget; default is the left comb")
     p.set_defaults(func=cmd_components)
 
-
-def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run exhaustive property sweeps")
     p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
     bounds = verify.Bounds()
@@ -240,8 +245,6 @@ def _add_verify(sub) -> None:
     p.add_argument("--max-level", type=_int, default=bounds.max_level, help="largest fusion level")
     p.set_defaults(func=cmd_verify)
 
-
-def _add_render(sub) -> None:
     p = sub.add_parser("render", help="draw a match as text art or SVG")
     p.add_argument("match", help="canonical key like '1,1|1-2', or an index into --boxes")
     p.add_argument("--boxes", "-b", type=_int_list, default=None,
@@ -251,47 +254,12 @@ def _add_render(sub) -> None:
     p.add_argument("--format", "-f", choices=("text", "svg"), default="text")
     p.add_argument("--out", "-o", default=None, help="write output to a file")
     p.set_defaults(func=cmd_render)
-
-
-# Each subcommand's parser builder, in the order ``fusionkit --help`` lists them.
-_SUBCOMMANDS = {
-    "fuse": _add_fuse,
-    "tensor": _add_tensor,
-    "matches": _add_matches,
-    "components": _add_components,
-    "verify": _add_verify,
-    "render": _add_render,
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``fusionkit`` parser with every subcommand, or with only ``command``'s.
-
-    A parser built for one subcommand parses an argv that starts with its
-    name as the full parser does, texts included: every error but one is the
-    subcommand's own, and that one, an unrecognized argument, prints the
-    top-level usage, which still names all six subcommands.
-    """
-    parser = argparse.ArgumentParser(
-        prog="fusionkit",
-        description="Level-truncated sl2 fusion products and their crossingless-match combinatorics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS if command is None else (command,):
-        _SUBCOMMANDS[name](sub)
-    if command is not None:
-        # The full parser's usage names its choices; this one holds only one.
-        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the named subcommand's parser is built; help, an unknown command
-    # and no command at all need the full one.
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -26,16 +26,17 @@ census properties read :func:`geometry.component_census`, the census that
 :func:`run_suites` shards its sweeps over the CPUs this process may run on.
 It forks one worker per CPU, at most ``MAX_WORKERS``, before its first group
 starts; the calling process is worker 0.  Every sweep draws its outermost
-loop through :func:`_points`, so worker k of n takes every n-th point of it,
-from point k on.  Every worker runs the same groups in the same order, and
-each forked one sends, per group, each property's case count, failure count
-and first counterexamples with their point indices, as plain ints and
-strings through a pipe.  Worker 0 merges them into its own group's results:
-counts are summed and the counterexamples ordered by point index, then cut
-to the first ``MAX_COUNTEREXAMPLES``.  A point's cases all come from one
-worker in sweep order, so the report is the serial one, byte for byte, for
-any worker count.  The run is serial where ``os.fork`` is missing, where
-other threads are alive, inside a worker, and on one CPU.
+loop through :func:`_points`, which deals the points to the n workers back
+and forth: worker k takes point i when ``i % 2n`` is k or 2n-1-k.  Every
+worker runs the same groups in the same order, and each forked one sends, per
+group, each property's case count, failure count and first counterexamples
+with their point indices, as plain ints and strings through a pipe.  Worker
+0 merges them into its own group's results: counts are summed and the
+counterexamples ordered by point index, then cut to the first
+``MAX_COUNTEREXAMPLES``.  A point's cases all come from one worker in sweep
+order, so the report is the serial one, byte for byte, for any worker count.
+The run is serial where ``os.fork`` is missing, where other threads are
+alive, inside a worker, and on one CPU.
 """
 
 from __future__ import annotations
@@ -164,16 +165,20 @@ _point = 0
 
 
 def _points(items):
-    """This worker's points of a sweep's outermost loop: every n-th, from point k on.
+    """This worker's points of a sweep's outermost loop, dealt back and forth.
 
-    Every sweep draws its outermost loop through here, so the workers of a
-    run split it between them; records the running point's index in
+    Worker k of n takes point i when ``i % 2n`` is k or 2n-1-k.  Every n-th
+    point from k on would give worker k of 2 the ``_box_configs`` tuples
+    whose last weight has k's parity, an uneven split.  Every sweep draws its
+    outermost loop through here; records the running point's index in
     ``_point``.
     """
     global _point
     worker, workers = _shard
-    for _point, item in itertools.islice(enumerate(items), worker, None, workers):
-        yield item
+    mine = (worker, 2 * workers - 1 - worker)
+    for _point, item in enumerate(items):
+        if _point % (2 * workers) in mine:
+            yield item
 
 
 def _box_configs(max_rank: int, max_weight: int):

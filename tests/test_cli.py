@@ -677,6 +677,21 @@ def test_verify_shards_of_a_three_way_split_sum_to_the_serial_run(monkeypatch):
         assert all(shard[name] < count for shard in per_shard.values()), name
 
 
+@pytest.mark.parametrize("workers", [2, 4])
+def test_verify_shards_of_the_box_tuples_hold_even_vertex_totals(monkeypatch, workers):
+    # Dealt every n-th point, the shards held 1480/1650 vertices with 2
+    # workers and 655/740/825/910 with 4: a tuple's index parity is its last
+    # weight's.
+    configs = list(verify._box_configs(4, 4))
+    totals, taken = [], []
+    for worker in range(workers):
+        monkeypatch.setattr(verify, "_shard", (worker, workers))
+        totals.append(sum(sum(ws) for ws in verify._points(configs)))
+        taken += verify._points(range(len(configs)))
+    assert sorted(taken) == list(range(len(configs)))
+    assert max(totals) <= 1.01 * min(totals), totals
+
+
 def test_verify_output_is_byte_identical_across_runs(capsys):
     outputs = []
     for _ in range(2):
@@ -979,35 +994,21 @@ CLI_TEXT_DIGESTS = [
 ]
 
 
-def _texts(capsys, call, argv) -> tuple[int, str, str]:
-    try:
-        code = call(list(argv))
-    except SystemExit as exc:
-        code = int(exc.code or 0)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_help_usage_and_error_texts_match_parent_digests(capsys, monkeypatch):
+    # Digests also checked, outside pytest, on Python 3.10.13 and 3.12.1.
     monkeypatch.setenv("COLUMNS", "80")
-    for argv, code, out_digest, err_digest in CLI_TEXT_DIGESTS:
-        got = _texts(capsys, main, argv)
+    # Forward, reversed and forward again through the one parser of this
+    # process, so a text that depended on an earlier call would fail here.
+    for argv, code, out_digest, err_digest in [
+        *CLI_TEXT_DIGESTS, *reversed(CLI_TEXT_DIGESTS), *CLI_TEXT_DIGESTS
+    ]:
+        got = run(capsys, *argv)
         digests = [hashlib.sha256(text.encode()).hexdigest() for text in got[1:]]
         assert (got[0], *digests) == (code, out_digest, err_digest), argv
-        # The full parser, which main builds only when no command is named,
-        # writes the same texts.
-        assert _texts(capsys, build_parser().parse_args, argv) == got, argv
 
 
-def _subparser_choices(parser) -> list[str]:
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(sub.choices)
-
-
-def test_main_builds_only_the_named_subcommands_parser(capsys, monkeypatch):
+def test_one_parser_per_process(capsys, monkeypatch):
     commands = ["fuse", "tensor", "matches", "components", "verify", "render"]
-    assert _subparser_choices(build_parser()) == commands
-    assert _subparser_choices(build_parser("verify")) == ["verify"]
     built = []
     real = argparse._SubParsersAction.add_parser
 
@@ -1016,17 +1017,27 @@ def test_main_builds_only_the_named_subcommands_parser(capsys, monkeypatch):
         return real(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    code, out, _ = run(capsys, "components", "-b", "2,2", "-l", "2", "-f", "json")
-    assert code == 0 and json.loads(out)["total_components"] == 1
-    assert built == ["components"]
-    for command in commands:
-        built.clear()
-        assert run(capsys, command, "--help")[0] == 0
-        assert built == [command]
-    for argv in ([], ["--help"], ["-h", "components"], ["nope"]):
-        built.clear()
-        run(capsys, *argv)
-        assert built == commands, argv
+    build_parser.cache_clear()
+    calls = [
+        (["components", "-b", "2,2", "-l", "2", "-f", "json"], 0),
+        (["fuse", "-w", "1,1", "-l", "2"], 0),
+        (["tensor", "-w", "1,2"], 0),
+        (["matches", "-b", "2,2"], 0),
+        (["render", "1,1|1-2"], 0),
+        (["verify", "--suite", "ring", "--max-rank", "1", "--max-weight", "1", "--max-level", "1"], 0),
+        *[([command, "--help"], 0) for command in commands],
+        (["fuse", "-w", "1,1"], 2),
+        (["tensor", "-w", "x"], 2),
+        (["components", "-b", "2,2", "--bogus"], 2),
+        (["verify", "--suite", "nope"], 2),
+        ([], 2),
+        (["--help"], 0),
+        (["nope"], 2),
+        (["matches", "-b", "2,2", "-s", "(12)"], 2),
+    ]
+    for argv, code in calls:
+        assert run(capsys, *argv)[0] == code, argv
+    assert built == commands
 
 
 def _assert_digests(capsys, cases):
